@@ -420,18 +420,20 @@ def _cmd_upload(args: argparse.Namespace) -> dict:
     (key_bytes, value_bytes) KV rows."""
     import pandas as pd
 
-    from .api import GroupByConf, TQuery
+    from .api import EventSource, GroupByConf, TQuery
     from .pipelines.upload import groupby_upload
-    from .sources import scan_table
+    from .sources import required_columns, scan_table
     from .state.lineage import write_partitioned
+    from .util import map_typed
 
     conf = _load_conf(args.conf)
     if not isinstance(conf, GroupByConf):
         raise SystemExit("upload needs a GroupByConf")
     _init_ray(args.num_cpus)
     batch_end = int(pd.Timestamp(args.end).value // 10**6) + 86_400_000
-    events = scan_table(args.source_table,
-                        TQuery(end_partition=args.end))
+    events = scan_table(args.source_table, TQuery(end_partition=args.end),
+                        columns=required_columns(
+                            EventSource(table=args.source_table), conf))
     ck = groupby_upload(events, conf, batch_end,
                         num_partitions=args.num_partitions,
                         full_hops=args.full_hops)
@@ -447,7 +449,7 @@ def _cmd_upload(args: argparse.Namespace) -> dict:
 
     add_ds.__name__ = "upload_add_ds"
     manifests = write_partitioned(
-        ck.map_batches(add_ds, batch_format="pyarrow"), args.out,
+        map_typed(ck, add_ds), args.out,
         conf.semantic_hash(), metrics={"batch_end_ts": batch_end})
     summary = {"kind": "upload", "name": conf.name, "out": args.out,
                "batch_end_ts": batch_end,

@@ -133,7 +133,7 @@ def key_partitioned_join(
     RIGHT rows first (``util.drop_null_key_rows``): SQL NULL never
     matches."""
     all_ds = [left, *rights]
-    from ..util import dataset_schema
+    from ..util import dataset_schema, with_schema
 
     schemas = schemas or [dataset_schema(d) for d in all_ds]
     keys_by_src = None
@@ -162,8 +162,11 @@ def key_partitioned_join(
         for i, d in enumerate(all_ds)
     ]
     unioned = tagged[0].union(*tagged[1:])
-    return unioned.groupby("_part").map_groups(
+    # the merge order: the left's keys and fields, then each right's fields
+    out_names = [*(keys_by_src[0] if keys_by_src else keys),
+                 *[c for cols in fields_by_src for c in cols]]
+    return with_schema(unioned.groupby("_part").map_groups(
         _MergePartition(keys, len(all_ds), how, fields_by_src, types,
                         keys_by_src=keys_by_src),
         batch_format="pandas",
-    )
+    ), pa.schema([pa.field(c, types[c]) for c in out_names]))

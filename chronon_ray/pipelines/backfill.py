@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import ray.data
 
@@ -28,6 +28,7 @@ from ..api import GroupByConf, UNBOUNDED
 from ..sources import list_partitions, read_parquet as _read_parquet, scan_table
 from ..state.lineage import archive_mismatched, completed_partitions, write_partitioned
 from ..state.partitions import PartitionRange, shift_ds, unfilled_ranges
+from ..util import map_typed
 
 MILLIS_DAY = 86_400_000
 
@@ -66,7 +67,6 @@ def backfill_temporal_join(
     end: str,
     step_days: int = 30,
     num_partitions: int = 64,
-    write_fn: Optional[Callable] = None,
 ) -> dict:
     """Backfill PITC features for left rows with ds in [start, end].
 
@@ -98,10 +98,9 @@ def backfill_temporal_join(
         right = scan_table(right_table, TQuery(start_partition=right_start,
                                                end_partition=step.end))
         out = temporal_join(left, right, conf, num_partitions=num_partitions)
-        writer = write_fn or write_partitioned
-        manifests = writer(out, out_dir, config_hash,
-                           input_range=(step.start, step.end),
-                           metrics={"step_wall_sec": round(time.perf_counter() - t0, 3)})
+        manifests = write_partitioned(out, out_dir, config_hash,
+                                      input_range=(step.start, step.end),
+                                      step_start=t0)
         summary["partitions_written"].extend(sorted(manifests))
         summary["metrics"][f"{step.start}..{step.end}"] = {
             "wall_sec": round(time.perf_counter() - t0, 3),
@@ -162,16 +161,14 @@ def backfill_snapshot_groupby(
                     mask = v if mask is None else pc.or_(mask, v)
                 return t.filter(mask) if mask is not None else t
 
-            out = out.map_batches(drop_empty, batch_format="pyarrow")
+            out = map_typed(out, drop_empty)
             # the unrolled grid carries the synthetic EOD ts — not part of
             # the snapshot output contract
-            out = out.map_batches(
-                lambda t: t.drop_columns(["ts"]) if "ts" in t.column_names
-                else t, batch_format="pyarrow")
+            out = map_typed(out, lambda t: t.drop_columns(["ts"])
+                            if "ts" in t.column_names else t)
             manifests = write_partitioned(
                 out, out_dir, config_hash,
-                input_range=(src_start, step.end),
-                metrics={"step_wall_sec": round(time.perf_counter() - t0, 3)})
+                input_range=(src_start, step.end), step_start=t0)
             summary["partitions_written"].extend(sorted(manifests))
     return summary
 
@@ -233,14 +230,13 @@ def backfill_join(
     from dataclasses import replace as _rep
 
     import pyarrow as pa
-    import ray.data as rd
 
     from ..api import Accuracy, TQuery
+    from ..sources import required_columns, scan_source
     from ..util import dataset_schema
     from .assembly import key_partitioned_join
     from .joins import apply_derivations, distinct_rows
     from .temporal import temporal_join
-    from ..sources import scan_source
 
     if phase not in ("all", "left", "parts", "final"):
         raise ValueError(f"phase must be all/left/parts/final, got {phase!r}")
@@ -299,13 +295,11 @@ def backfill_join(
         return _partition_files(left_dir, days) or None
 
     def _left_with_ds(rng: PartitionRange):
+        # hive-partitioned cache files carry ds only in the dir name —
+        # _add_ds re-derives it from ts (same values by construction)
         cached = _left_cache_files(rng)
-        if cached is not None:
-            # hive-partitioned cache files carry ds only in the dir name —
-            # _add_ds re-derives it from ts (same values by construction)
-            return _read_parquet(cached).map_batches(
-                _add_ds, batch_format="pyarrow")
-        return _left_for(rng).map_batches(_add_ds, batch_format="pyarrow")
+        return map_typed(_read_parquet(cached) if cached is not None
+                         else _left_for(rng), _add_ds)
 
     if phase in ("all", "left"):
         archive_mismatched(left_dir, left_hash)
@@ -316,13 +310,10 @@ def backfill_join(
         for chunk in left_chunks:
             for step in chunk.steps(step_days):
                 t0 = time.perf_counter()
-                lt = _left_for(step).map_batches(_add_ds,
-                                                 batch_format="pyarrow")
+                lt = map_typed(_left_for(step), _add_ds)
                 manifests = write_partitioned(
                     lt, left_dir, left_hash,
-                    input_range=(step.start, step.end),
-                    metrics={"step_wall_sec":
-                             round(time.perf_counter() - t0, 3)})
+                    input_range=(step.start, step.end), step_start=t0)
                 summary["left_partitions_written"].extend(sorted(manifests))
         if phase == "left":
             return summary
@@ -371,11 +362,11 @@ def backfill_join(
         for step in steps:
             t0 = time.perf_counter()
             left = _left_with_ds(step)
-            kt = left.map_batches(
+            kt = map_typed(
+                left,
                 lambda t, cols=tuple([*left_key_cols, "ts"]),
                 names=tuple([*gb.key_columns, "ts"]):
-                    t.select(list(cols)).rename_columns(list(names)),
-                batch_format="pyarrow")
+                    t.select(list(cols)).rename_columns(list(names)))
             kt = distinct_rows(kt, [*gb.key_columns, "ts"], num_partitions)
             right = None
             right_schema = None
@@ -384,7 +375,8 @@ def backfill_join(
                     else shift_ds(step.start, -w_days)
                 q = src.query or TQuery()
                 q = _rep(q, start_partition=r_start, end_partition=step.end)
-                s = scan_source(_rep(src, query=q))
+                s = scan_source(_rep(src, query=q),
+                                columns=required_columns(src, gb))
                 if right is None:
                     right, right_schema = s, dataset_schema(s)
                 else:
@@ -400,12 +392,10 @@ def backfill_join(
                 return t.rename_columns(
                     [m.get(c, c) for c in t.column_names])
 
-            f = f.map_batches(fix_names, batch_format="pyarrow") \
-                .map_batches(_add_ds, batch_format="pyarrow")
-            write_partitioned(
-                f, pdir, phash, input_range=(step.start, step.end),
-                metrics={"step_wall_sec":
-                         round(time.perf_counter() - t0, 3)})
+            f = map_typed(map_typed(f, fix_names), _add_ds)
+            write_partitioned(f, pdir, phash,
+                              input_range=(step.start, step.end),
+                              step_start=t0)
             summary["part_steps_computed"] += 1
 
     if phase == "parts":
@@ -420,40 +410,45 @@ def backfill_join(
                                  skip_first_hole=False)
     summary["skipped_output"] = sorted(
         set(done_out) & set(requested.partitions()))
+    out_steps = [s for c in out_chunks for s in c.steps(step_days)]
+    if phase == "final":
+        # a final-only run must not assemble null features for days a part
+        # cache lacks and mark them complete: every part must hold every
+        # day first, or nothing is written
+        need = [d for s in out_steps for d in s.partitions()]
+        missing = {}
+        for part in jc.parts:
+            have = set(completed_partitions(part_dirs[part],
+                                            _part_hash(jc, part)))
+            lack = [d for d in need if d not in have]
+            if lack:
+                missing[part.full_prefix] = lack
+        if missing:
+            raise RuntimeError(
+                "backfill --phase final: part caches are incomplete — "
+                + "; ".join(f"{p!r} lacks {', '.join(days)}"
+                            for p, days in missing.items())
+                + " — run --phase parts (optionally --selected-parts) "
+                "over these days first")
     join_keys = [*(part_left_keys or []), "ts"]
-    for chunk in out_chunks:
-        for step in chunk.steps(step_days):
-            t0 = time.perf_counter()
-            left = _left_with_ds(step)
-            feats = []
-            for part in jc.parts:
-                files = _partition_files(part_dirs[part], step.partitions())
-                if not files:
-                    if phase == "final":
-                        # a final-only run must not silently assemble
-                        # fewer feature columns than the conf declares
-                        raise RuntimeError(
-                            f"backfill --phase final: no cached part "
-                            f"table for {part.full_prefix!r} in "
-                            f"{step.start}..{step.end} — run "
-                            "--phase parts (optionally --selected-parts "
-                            f"{part.full_prefix}) first")
-                    continue
-                fd = _read_parquet(files)
-                fd = fd.map_batches(
+    for step in out_steps:
+        t0 = time.perf_counter()
+        left = _left_with_ds(step)
+        feats = []
+        for part in jc.parts:
+            files = _partition_files(part_dirs[part], step.partitions())
+            if files:
+                feats.append(map_typed(
+                    _read_parquet(files),
                     lambda t: t.drop_columns(
-                        [c for c in ("ds",) if c in t.column_names]),
-                    batch_format="pyarrow")
-                feats.append(fd)
-            out = key_partitioned_join(left, feats, keys=join_keys,
-                                       how="left",
-                                       num_partitions=num_partitions)
-            out = apply_derivations(out, jc.derivations)
-            manifests = write_partitioned(
-                out, out_dir, out_hash, input_range=(step.start, step.end),
-                metrics={"step_wall_sec":
-                         round(time.perf_counter() - t0, 3)})
-            summary["partitions_written"].extend(sorted(manifests))
+                        [c for c in ("ds",) if c in t.column_names])))
+        out = key_partitioned_join(left, feats, keys=join_keys, how="left",
+                                   num_partitions=num_partitions)
+        out = apply_derivations(out, jc.derivations)
+        manifests = write_partitioned(
+            out, out_dir, out_hash, input_range=(step.start, step.end),
+            step_start=t0)
+        summary["partitions_written"].extend(sorted(manifests))
     return summary
 
 
@@ -489,10 +484,8 @@ def backfill_incremental(
     instead of re-bootstrapping."""
     import json
 
-    import pyarrow.parquet as _pq
-    import ray.data as rd
-
-    from ..api import TQuery
+    from ..api import EventSource, TQuery
+    from ..sources import required_columns
     from .upload import groupby_upload, roll_checkpoint, serve_with_events
 
     if serve_mode not in ("events", "tiles"):
@@ -520,10 +513,14 @@ def backfill_incremental(
 
         return int(_pd.Timestamp(ds).value // 10**6)
 
+    ev_cols = required_columns(
+        EventSource(table=right_table, query=TQuery(time_column="ts")), conf)
+
     def _events_range(lo_ds: str, hi_ds: str):
         return scan_table(right_table, TQuery(start_partition=lo_ds,
                                               end_partition=hi_ds,
-                                              time_column="ts"))
+                                              time_column="ts"),
+                          columns=ev_cols)
 
     def _ensure_checkpoint(ds: str):
         """Checkpoint AT midnight of `ds` (covers events < ds)."""
@@ -554,14 +551,11 @@ def backfill_incremental(
             # normal checkpoint schema
             import pyarrow.parquet as _pq
 
-            from ..util import dataset_schema as _dss
-            from .upload import empty_checkpoint_table
+            from ..util import dataset_schema
 
             os.makedirs(tmp, exist_ok=True)
-            ev_sch = _dss(_events_range(shift_ds(ds, -w_days), prev))
-            _pq.write_table(
-                empty_checkpoint_table(conf, ev_sch, full_hops=True),
-                os.path.join(tmp, "part-0.parquet"))
+            _pq.write_table(dataset_schema(ck).empty_table(),
+                            os.path.join(tmp, "part-0.parquet"))
         with open(os.path.join(tmp, "_MANIFEST.json"), "w") as f:
             json.dump({"config_hash": config_hash, "batch_end_ts": end_ms},
                       f)
@@ -612,8 +606,7 @@ def backfill_incremental(
                                     full_hops=True)
         manifests = write_partitioned(
             out, out_dir, config_hash, input_range=(ds, ds),
-            metrics={"checkpoint": how,
-                     "wall_sec": round(time.perf_counter() - t0, 3)})
+            metrics={"checkpoint": how}, step_start=t0)
         summary["partitions_written"].extend(sorted(manifests))
         summary["metrics"][ds] = {
             "wall_sec": round(time.perf_counter() - t0, 3),

@@ -25,8 +25,9 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..api import Accuracy, EventSource, GroupByConf, JoinConf, TQuery
-from ..sources import read_parquet as _read_parquet, scan_source
-from ..util import dataset_schema
+from ..sources import (read_parquet as _read_parquet, required_columns,
+                       scan_source)
+from ..util import dataset_schema, map_typed, with_schema
 from .assembly import key_partitioned_join
 from .groupby import block_part_hash, stable_key_hash
 from .temporal import temporal_join
@@ -39,7 +40,10 @@ def apply_derivations(ds: ray.data.Dataset, derivations: Sequence[tuple],
                       base_columns: Optional[Sequence[str]] = None) -> ray.data.Dataset:
     """Post-agg projection (reference derivationProjection, Extensions.scala:
     1069-1120): entries are (out_name, expr) with expr ∈ {"*" passthrough,
-    source column name, callable(batch)->Array}."""
+    source column name, callable(batch)->Array}.
+
+    The output schema is declared only when no expr is a callable: a
+    user callable's output type may depend on its rows."""
     if not derivations:
         return ds
 
@@ -58,6 +62,8 @@ def apply_derivations(ds: ray.data.Dataset, derivations: Sequence[tuple],
                 out[name] = arr
         return pa.table(out)
 
+    if all(isinstance(e, str) for _n, e in derivations):
+        return map_typed(ds, derive)
     return ds.map_batches(derive, batch_format="pyarrow")
 
 
@@ -77,7 +83,7 @@ def skew_filter(ds: ray.data.Dataset, skew_keys: Sequence[tuple]) -> ray.data.Da
             mask = m if mask is None else pc.and_(mask, m)
         return batch.filter(mask) if mask is not None else batch
 
-    return ds.map_batches(f, batch_format="pyarrow")
+    return map_typed(ds, f)
 
 
 def distinct_rows(ds: ray.data.Dataset, cols: Sequence[str],
@@ -106,8 +112,10 @@ def distinct_rows(ds: ray.data.Dataset, cols: Sequence[str],
                                     preserve_index=False).replace_schema_metadata(None)
 
     global_.__name__ = "distinct_merge"
-    return ds.map_batches(local, batch_format="pyarrow") \
-        .groupby("_part").map_groups(global_, batch_format="pandas")
+    return with_schema(ds.map_batches(local, batch_format="pyarrow")
+                       .groupby("_part").map_groups(global_,
+                                                    batch_format="pandas"),
+                       col_schema)
 
 
 def snapshot_events_unrolled(
@@ -115,7 +123,6 @@ def snapshot_events_unrolled(
     conf: GroupByConf,
     ds_values: Sequence[str],
     num_partitions: int = DEFAULT_NUM_PARTITIONS,
-    events_schema: Optional[pa.Schema] = None,
 ) -> ray.data.Dataset:
     """Multi-day snapshot GroupBy: one row per (key, ds) with end-of-day
     accuracy — the reference's snapshotEventsBase unrolling (GroupBy.scala:
@@ -123,7 +130,7 @@ def snapshot_events_unrolled(
     (distinct keys × requested days) with EOD query timestamps and
     DailyResolution tails."""
     keys = list(conf.key_columns)
-    schema = events_schema or dataset_schema(events)
+    schema = dataset_schema(events)
     keys_ds = distinct_rows(events, keys, num_partitions)
     eods = {ds_val: (int(pd.Timestamp(ds_val).timestamp()) // 86400 + 1) * MILLIS_DAY
             for ds_val in ds_values}
@@ -143,7 +150,7 @@ def snapshot_events_unrolled(
         cols["ts"] = pa.array(ts_arr, type=pa.int64())
         return pa.table(cols)
 
-    grid = keys_ds.map_batches(explode_days, batch_format="pyarrow")
+    grid = map_typed(keys_ds, explode_days)
     return temporal_join(grid, events, conf, num_partitions=num_partitions,
                          right_schema=schema, daily=True)
 
@@ -170,13 +177,13 @@ def compute_join(
             return t.append_column(
                 "_ts_d", pa.array((ts // MILLIS_DAY) * MILLIS_DAY))
 
-        left = left.map_batches(add_ts_d, batch_format="pyarrow")
+        left = map_typed(left, add_ts_d)
     for part in jc.parts:
         gb = part.group_by
         right = None
         right_schema = None
         for src in gb.sources:
-            s = scan_source(src)
+            s = scan_source(src, columns=required_columns(src, gb))
             if right is None:
                 right, right_schema = s, dataset_schema(s)
             else:
@@ -193,11 +200,11 @@ def compute_join(
         accuracy = gb.accuracy or Accuracy.TEMPORAL
         snapshot = accuracy == Accuracy.SNAPSHOT
         ts_col = "_ts_d" if snapshot else "ts"
-        kt = left.map_batches(
+        kt = map_typed(
+            left,
             lambda t, cols=tuple([*left_key_cols, ts_col]),
             names=tuple([*gb.key_columns, "ts"]):
-                t.select(list(cols)).rename_columns(list(names)),
-            batch_format="pyarrow")
+                t.select(list(cols)).rename_columns(list(names)))
         kt = distinct_rows(kt, [*gb.key_columns, "ts"], num_partitions)
         f = temporal_join(kt, right, gb, num_partitions=num_partitions,
                           right_schema=right_schema, daily=snapshot)
@@ -211,8 +218,7 @@ def compute_join(
             m = dict(r)
             return t.rename_columns([m.get(c, c) for c in t.column_names])
 
-        f = f.map_batches(fix_names, batch_format="pyarrow")
-        feats.append(f)
+        feats.append(map_typed(f, fix_names))
         feat_keys.append([*left_key_cols, ts_col])
     join_keys = [*(part_left_keys or []), "ts"]
     if any_snapshot:
@@ -220,8 +226,7 @@ def compute_join(
             left, feats, keys=join_keys, how="left",
             num_partitions=num_partitions, right_keys=feat_keys,
             hash_keys=part_left_keys or [])
-        out = out.map_batches(lambda t: t.drop_columns(["_ts_d"]),
-                              batch_format="pyarrow")
+        out = map_typed(out, lambda t: t.drop_columns(["_ts_d"]))
     else:
         out = key_partitioned_join(left, feats, keys=join_keys, how="left",
                                    num_partitions=num_partitions)
@@ -549,7 +554,7 @@ def compute_join_bootstrapped(
         right = None
         right_schema = None
         for src in gb.sources:
-            sds = scan_source(src)
+            sds = scan_source(src, columns=required_columns(src, gb))
             if right is None:
                 right, right_schema = sds, dataset_schema(sds)
             else:

@@ -68,14 +68,16 @@ def _time_values(t: pa.Table, time_column: str) -> np.ndarray:
     """Millis epoch from either a ts column or a ds date-string column.
     Timestamp-typed columns are canonicalized through timestamp('ms')
     first — a raw to_numpy().astype(int64) on datetime64[ns] would yield
-    NANOseconds and bucket everything into garbage."""
+    NANOseconds and bucket everything into garbage. The cast truncates
+    sub-ms parts (a safe cast raises on them)."""
     import pyarrow.compute as pc
     col = t[time_column]
     if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
         days = np.array(col.to_pylist(), dtype="datetime64[D]")
         return days.astype("datetime64[ms]").astype(np.int64)
     if pa.types.is_timestamp(col.type) or pa.types.is_date(col.type):
-        col = pc.cast(pc.cast(col, pa.timestamp("ms")), pa.int64())
+        col = pc.cast(pc.cast(col, pa.timestamp("ms"), safe=False),
+                      pa.int64())
     return col.to_numpy(zero_copy_only=False).astype(np.int64)
 
 
@@ -1157,7 +1159,8 @@ def consistency_job(
 
             col = t["ts"]
             if pa.types.is_timestamp(col.type):
-                col = pc.cast(pc.cast(col, pa.timestamp("ms")), pa.int64())
+                col = pc.cast(pc.cast(col, pa.timestamp("ms"), safe=False),
+                              pa.int64())
             return col.to_numpy(zero_copy_only=False) \
                 .astype(np.int64) >= _lo
 

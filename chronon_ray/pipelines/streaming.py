@@ -450,7 +450,7 @@ def serve_with_tiles(
     whole head) is correct; events already covered by a complete tile are
     never replayed. Events below ``batch_end_ts`` are excluded at tag
     time (the checkpoint covers them)."""
-    from ..util import auto_partitions, dataset_schema
+    from ..util import auto_partitions, dataset_schema, with_schema
 
     keys = list(conf.key_columns)
     ev_schema = dataset_schema(recent_events)
@@ -541,10 +541,12 @@ def serve_with_tiles(
         tag(3, None, ["_tile", "_tirs", "_tile_ms"]),
         batch_format="pyarrow")
 
+    left_fields = [q_schema.field(c) for c in left_cols]
     proc = _TiledServePartition(keys, parts, ev_schema, left_cols,
                                 batch_end_ts, full_hops=full_hops,
-                                left_fields=[q_schema.field(c)
-                                             for c in left_cols],
+                                left_fields=left_fields,
                                 out_names=out_names, tile_ms=T)
-    return tagged_ir.union(tagged_ev).union(tagged_q).union(tagged_t) \
-        .groupby("_part").map_groups(proc, batch_format="pandas")
+    return with_schema(
+        tagged_ir.union(tagged_ev).union(tagged_q).union(tagged_t)
+        .groupby("_part").map_groups(proc, batch_format="pandas"),
+        pa.schema(left_fields + proc.out_fields))

@@ -1034,7 +1034,8 @@ def temporal_join(
     Strictly more work than sawtooth; incompatible with daily accuracy."""
     keys = list(conf.key_columns)
     parts = conf.parts()
-    from ..util import dataset_schema
+    from ..sources import groupby_columns
+    from ..util import dataset_schema, with_schema
 
     if num_partitions is None:
         num_partitions = auto_num_partitions(left_ds, right_ds)
@@ -1060,13 +1061,7 @@ def temporal_join(
     # prune the right side to what the aggregation actually reads — only these
     # columns pay the shuffle (a 'tokens' payload not referenced by any part
     # must not cross the exchange)
-    needed = set(keys) | {"ts"}
-    for p in parts:
-        needed.add(p.input_column)
-        if p.bucket is not None:
-            needed.add(p.bucket)
-    if conf.tie_break_column:
-        needed.add(conf.tie_break_column)
+    needed = groupby_columns(conf)
     right_keep = [n for n in right_schema.names if n in needed]
     right_schema = pa.schema([right_schema.field(n) for n in right_keep])
     right_ds = right_ds.map_batches(
@@ -1136,6 +1131,13 @@ def temporal_join(
     # map-input parts salt too: their pickled {map_key: IR} partials merge
     # through MapPyOp in SaltedMerge (partial_fields routes them to the
     # pkl family), so no carve-out is needed.
+    proc = TemporalPartition(keys, parts, right_schema, left_cols,
+                             tie_break=conf.tie_break_column, daily=daily,
+                             exact=exact_windows)
+    # queries keep their left types (the tagged union lists left fields
+    # first); one typed column per part follows
+    out_schema = pa.schema([left_schema.field(c) for c in left_cols]
+                           + proc.out_fields)
     if hot_keys:
         if salt_shards is None:
             # hot-side parallelism = n_hot × shards distinct (key, salt)
@@ -1148,17 +1150,16 @@ def temporal_join(
             cpus = int(_ray.cluster_resources().get("CPU", 8)) \
                 if _ray.is_initialized() else 8
             salt_shards = max(8, _math.ceil(2 * cpus / max(1, len(hot_keys))))
-        return _salted_temporal_join(
+        return with_schema(_salted_temporal_join(
             left_ds, right_ds, conf, keys, parts, left_schema, right_schema,
             left_cols, num_partitions, daily, list(hot_keys), salt_shards,
-            exact=exact_windows)
+            exact=exact_windows), out_schema)
 
     unioned = _tagged_union(left_ds, right_ds, left_schema, right_schema,
                             keys, num_partitions)
-    proc = TemporalPartition(keys, parts, right_schema, left_cols,
-                             tie_break=conf.tie_break_column, daily=daily,
-                             exact=exact_windows)
-    return unioned.groupby("_part").map_groups(proc, batch_format="pyarrow")
+    return with_schema(
+        unioned.groupby("_part").map_groups(proc, batch_format="pyarrow"),
+        out_schema)
 
 
 def _bloom_hashes(t: pa.Table, keys: list, n_bits: int, key_types: dict):

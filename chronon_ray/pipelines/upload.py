@@ -211,7 +211,6 @@ def groupby_upload(
     batch_end_ts: int,
     num_partitions: Optional[int] = None,
     full_hops: bool = False,
-    events_schema: Optional[pa.Schema] = None,
 ) -> ray.data.Dataset:
     """events (keys + ts + inputs) → one FinalBatchIr row per key (see
     module docstring). Only events with ``ts < batch_end_ts`` contribute.
@@ -222,14 +221,11 @@ def groupby_upload(
     collapsed + 2-day tail. Bigger rows (W/hop IRs per part), but the
     checkpoint can then be advanced day by day with ``roll_checkpoint``
     forever — no serving-horizon limit."""
-    from ..util import auto_partitions, dataset_schema
+    from ..util import auto_partitions, dataset_schema, with_schema
 
     keys = list(conf.key_columns)
-    # pass events_schema when `events` is a transform over a possibly
-    # EMPTY scan (zero-row pipelines report schema None)
-    schema = (events_schema if events_schema is not None
-              else dataset_schema(events))
-    parts, synth, _out_names, schema = _prepare_parts(conf, schema)
+    in_schema = dataset_schema(events)
+    parts, synth, _out_names, schema = _prepare_parts(conf, in_schema)
     if num_partitions is None:
         num_partitions = auto_partitions(events)
     if synth:
@@ -363,8 +359,10 @@ def groupby_upload(
             "_full_hops", pa.array(np.full(len(out), full_hops)))
 
     merge_part.__name__ = "upload_merge"
-    return shuffled.groupby("_part").map_groups(merge_part,
-                                                batch_format="pandas")
+    return with_schema(
+        shuffled.groupby("_part").map_groups(merge_part,
+                                             batch_format="pandas"),
+        empty_checkpoint_table(conf, in_schema).schema)
 
 
 class _ServePartition:
@@ -649,7 +647,7 @@ def serve_with_events(
     collapsed-mode tail cut would silently drop every hop older than the
     tail buffer, so an explicit flag that contradicts the checkpoint
     fails loudly instead."""
-    from ..util import auto_partitions, dataset_schema
+    from ..util import auto_partitions, dataset_schema, with_schema
 
     keys = list(conf.key_columns)
     ev_schema = dataset_schema(head_events)
@@ -731,13 +729,14 @@ def serve_with_events(
         tag(2, "ts", [c for c in left_cols if c != "ts"]),
         batch_format="pyarrow")
 
+    left_fields = [q_schema.field(c) for c in left_cols]
     proc = _ServePartition(keys, parts, ev_schema, left_cols, batch_end_ts,
-                           full_hops=full_hops,
-                           left_fields=[q_schema.field(c)
-                                        for c in left_cols],
+                           full_hops=full_hops, left_fields=left_fields,
                            out_names=out_names)
-    return tagged_ir.union(tagged_ev).union(tagged_q) \
-        .groupby("_part").map_groups(proc, batch_format="pandas")
+    return with_schema(
+        tagged_ir.union(tagged_ev).union(tagged_q)
+        .groupby("_part").map_groups(proc, batch_format="pandas"),
+        pa.schema(left_fields + proc.out_fields))
 
 
 def roll_checkpoint(
@@ -759,15 +758,15 @@ def roll_checkpoint(
     window boundary needs separated)."""
     import pyarrow.compute as _pc
 
-    from ..util import auto_partitions, dataset_schema
+    from ..util import auto_partitions, dataset_schema, map_typed, with_schema
 
     if new_end_ts <= old_end_ts:
         raise ValueError("new_end_ts must be > old_end_ts")
     keys = list(conf.key_columns)
     if num_partitions is None:
         num_partitions = auto_partitions(day_events)
-    d_schema = dataset_schema(day_events)
-    parts, _synth, _names, d_schema = _prepare_parts(conf, d_schema)
+    ev_schema = dataset_schema(day_events)
+    parts, _synth, _names, d_schema = _prepare_parts(conf, ev_schema)
 
     def day_cut(t: pa.Table) -> pa.Table:
         ts = _pc.cast(t["ts"], pa.int64())
@@ -775,39 +774,24 @@ def roll_checkpoint(
                                  _pc.less(ts, new_end_ts)))
 
     day_cut.__name__ = "day_cut"
-    day_ir = groupby_upload(day_events.map_batches(day_cut,
-                                                   batch_format="pyarrow"),
-                            conf, new_end_ts, num_partitions=num_partitions,
-                            full_hops=True,
-                            events_schema=dataset_schema(day_events))
+    day_ir = groupby_upload(map_typed(day_events, day_cut), conf, new_end_ts,
+                            num_partitions=num_partitions, full_hops=True)
 
-    # materialize once: the flag take(1) below and the strip/union consumer
-    # would otherwise each execute a lazy checkpoint pipeline (in the
-    # day-over-day rolling loop that is the whole previous day's roll)
-    _stash = getattr(ir_table, "_chronon_schema", None)
-    ir_table = ir_table.materialize()
-    if _stash is not None \
-            and getattr(ir_table, "_chronon_schema", None) is None:
-        # a ZERO-ROW checkpoint materializes to empty blocks with unknown
-        # schema — carry the reader's stashed schema across
-        ir_table._chronon_schema = _stash
-    schema = dataset_schema(ir_table)
-    if "_full_hops" in schema.names:
-        # rolling a collapsed checkpoint would merge windowed IRs that can
-        # never slide out — fail loudly instead of compounding wrong
-        # features day over day
-        flag = ir_table.select_columns(["_full_hops"]).limit(1).take(1)
-        if flag and not bool(flag[0]["_full_hops"]):
-            raise ValueError(
-                "roll_checkpoint requires a checkpoint built with "
-                "groupby_upload(..., full_hops=True); this one is "
-                "collapsed-only")
     agg = RowAggregator(parts, d_schema)
     windowed = [bp for bp in agg.bound if not bp.part.window.unbounded]
 
     ir_key_types = {k: dataset_schema(ir_table).field(k).type for k in keys}
 
     def strip(t: pa.Table) -> pa.Table:
+        if "_full_hops" in t.column_names \
+                and _pc.any(_pc.invert(t["_full_hops"])).as_py():
+            # rolling a collapsed checkpoint would merge windowed IRs that
+            # can never slide out — fail loudly instead of compounding
+            # wrong features day over day
+            raise ValueError(
+                "roll_checkpoint requires a checkpoint built with "
+                "groupby_upload(..., full_hops=True); this one is "
+                "collapsed-only")
         drop = [c for c in ("_batch_end_ts", "_full_hops", "_part")
                 if c in t.column_names]
         t = t.drop(drop)
@@ -876,5 +860,9 @@ def roll_checkpoint(
             "_full_hops", pa.array(np.full(len(out), True)))
 
     merge_part.__name__ = "roll_merge"
-    return unioned.groupby("_part").map_groups(merge_part,
-                                               batch_format="pandas")
+    # the old checkpoint's key types, the checkpoint layout of the conf
+    out_schema = empty_checkpoint_table(conf, pa.schema(
+        [pa.field(f.name, ir_key_types.get(f.name, f.type))
+         for f in ev_schema])).schema
+    return with_schema(unioned.groupby("_part").map_groups(
+        merge_part, batch_format="pandas"), out_schema)

@@ -20,6 +20,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from .api import EntitySource, EventSource, Source, TQuery
+from .util import dataset_schema, map_typed, known_schema, with_schema
 
 #: reserved column names (reference api/Constants.scala:22-28)
 TS_COL = "ts"
@@ -42,21 +43,13 @@ def read_parquet(*args, **kwargs) -> ray.data.Dataset:
     read task; ~free). Use this everywhere instead of the raw reader so
     downstream exchanges unify hashable schemas.
 
-    The stripped schema is also stashed on the returned Dataset
-    (``_chronon_schema``): a ZERO-ROW parquet input produces zero blocks
-    through the map, Ray then reports schema None, and
-    ``util.dataset_schema`` falls back to the stash — an empty
-    checkpoint / empty day-range read keeps its real schema."""
+    The stripped schema, which the reader knows from the parquet footers
+    without executing anything, is stashed on the returned Dataset
+    (``util.dataset_schema``)."""
     raw = ray.data.read_parquet(*args, **kwargs)
     out = raw.map_batches(_strip_schema_metadata, batch_format="pyarrow")
-    try:
-        rs = raw.schema()
-        base = getattr(rs, "base_schema", None)
-        if isinstance(base, pa.Schema):
-            out._chronon_schema = base.remove_metadata()
-    except Exception:
-        pass
-    return out
+    sch = known_schema(raw)
+    return with_schema(out, sch) if sch is not None else out
 
 
 def clip_ds_range(ds: ray.data.Dataset,
@@ -69,8 +62,6 @@ def clip_ds_range(ds: ray.data.Dataset,
     are None or neither column exists)."""
     if start is None and end is None:
         return ds
-    from .util import dataset_schema
-
     names = dataset_schema(ds).names
     lo_ms = (None if start is None
              else int(np.datetime64(start, "ms").astype(np.int64)))
@@ -92,8 +83,10 @@ def clip_ds_range(ds: ray.data.Dataset,
                 # datetime64[ns] → astype(int64) would be NANOseconds and
                 # the millis bounds would silently keep everything (or
                 # nothing) — canonicalize through timestamp('ms') first,
-                # as consistency_job.after_start does
-                col = pc.cast(pc.cast(col, pa.timestamp("ms")), pa.int64())
+                # as consistency_job.after_start does; the cast truncates
+                # sub-ms parts (a safe cast raises on them)
+                col = pc.cast(pc.cast(col, pa.timestamp("ms"), safe=False),
+                              pa.int64())
             ts = col.to_numpy(zero_copy_only=False).astype(np.int64)
             mask = np.ones(len(t), dtype=bool)
             if _l is not None:
@@ -104,7 +97,8 @@ def clip_ds_range(ds: ray.data.Dataset,
     else:
         return ds
     clip.__name__ = "clip_ds_range"
-    return ds.map_batches(clip, batch_format="pyarrow")
+    return with_schema(ds.map_batches(clip, batch_format="pyarrow"),
+                       dataset_schema(ds))
 
 
 def partition_paths(
@@ -136,16 +130,20 @@ def partition_paths(
     return picked
 
 
-def _any_partition_schema(table: str, partition_col: str):
-    """Arrow schema from the FIRST parquet footer of any partition of a
-    hive-layout table dir — used to type empty-range scans."""
+def _footer_schema(table: str, partition_col: str) -> Optional[pa.Schema]:
+    """Arrow schema from ONE parquet footer of a table: the file itself,
+    or the first file of the first ``partition_col=`` directory of a
+    hive-layout table, or the first parquet file under a flat directory."""
     import pyarrow.parquet as pq
-    for d in sorted(os.listdir(table)):
-        if d.startswith(f"{partition_col}="):
-            sub = os.path.join(table, d)
-            for f in sorted(os.listdir(sub)):
-                if f.endswith(".parquet"):
-                    return pq.read_schema(os.path.join(sub, f))
+
+    if os.path.isfile(table):
+        return pq.read_schema(table)
+    subs = sorted(d for d in os.listdir(table)
+                  if d.startswith(f"{partition_col}="))
+    for root in [os.path.join(table, d) for d in subs] or [table]:
+        for f in sorted(os.listdir(root)):
+            if f.endswith(".parquet") and not f.startswith(("_", ".")):
+                return pq.read_schema(os.path.join(root, f))
     return None
 
 
@@ -245,45 +243,46 @@ def scan_table(
 
     ds-partitioned dirs are read with a hive PathPartitionFilter (prunes at
     the path level, no out-of-range footer is touched) and the partition
-    column is injected by Ray's hive partitioning."""
+    column is injected by Ray's hive partitioning. A requested column the
+    table lacks raises ``KeyError``.
+
+    The output schema is stashed at plan time (``util.dataset_schema``):
+    the read's footer schema, projected to ``columns``, rendered through
+    the query on a zero-row table. Empty and non-empty ranges share that
+    typing path."""
+    part_col = query.partition_column
     paths = partition_paths(table, query.start_partition, query.end_partition,
-                            query.partition_column)
+                            part_col)
     read_cols = list(columns) if columns else None
     blocks = override_num_blocks or _estimate_blocks(paths)
     is_partitioned_dir = not (os.path.isfile(table) or table.endswith(".parquet")) \
-        and any(d.startswith(f"{query.partition_column}=")
-                for d in os.listdir(table))
+        and any(d.startswith(f"{part_col}=") for d in os.listdir(table))
+    render = _Render(query, keep_columns, synthesize_eod_ts)
     if is_partitioned_dir and not paths:
         # the range matched NO partitions: read_parquet over zero files
-        # yields a dataset with UNKNOWN schema, and every downstream
-        # dataset_schema() / union crashes. Return an empty dataset with
-        # the table's real schema (one footer read) so an empty day range
-        # behaves like any other empty-but-typed scan — e.g. an
-        # incremental-backfill bootstrap window before the first event
-        # day, found by the round-5 fresh-seed chaos sweep.
-        sch = _any_partition_schema(table, query.partition_column)
+        # yields a dataset with UNKNOWN schema. Return an empty dataset
+        # typed from one footer, so an empty day range behaves like any
+        # other empty-but-typed scan — e.g. an incremental-backfill
+        # bootstrap window before the first event day
+        sch = _footer_schema(table, part_col)
         if sch is not None:
-            fields = {f.name: f for f in sch}
-            fields.setdefault(query.partition_column,
-                              pa.field(query.partition_column, pa.string()))
-            names = (read_cols if read_cols
-                     else [f.name for f in sch] + (
-                         [] if query.partition_column in sch.names
-                         else [query.partition_column]))
-            empty = pa.schema([fields[n] for n in names
-                               if n in fields]).empty_table()
-            # render EAGERLY: a lazy map_batches over a zero-row dataset
-            # reports Unknown schema (no block ever reaches the UDF), so
-            # downstream dataset_schema() would still crash
-            rendered = _Render(query, keep_columns, synthesize_eod_ts)(empty)
-            return ray.data.from_arrow(rendered)
+            if part_col not in sch.names:
+                sch = sch.append(pa.field(part_col, pa.string()))
+            if read_cols:
+                missing = [c for c in read_cols if c not in sch.names]
+                if missing:
+                    raise KeyError(f"Column {missing[0]} does not exist in "
+                                   f"schema of {table}")
+                sch = pa.schema([sch.field(c) for c in read_cols])
+            rendered = render(_hive_order(sch, part_col).empty_table())
+            return with_schema(ray.data.from_arrow(rendered),
+                               rendered.schema)
     if is_partitioned_dir:
         from ray.data.datasource.partitioning import PathPartitionFilter
 
-        start, end, col = query.start_partition, query.end_partition, \
-            query.partition_column
+        start, end = query.start_partition, query.end_partition
 
-        def keep(kv, _s=start, _e=end, _c=col):
+        def keep(kv, _s=start, _e=end, _c=part_col):
             v = kv.get(_c)
             return (_s is None or v >= _s) and (_e is None or v <= _e)
 
@@ -291,16 +290,30 @@ def scan_table(
         # file_extensions: the partition-filtered listing does NOT apply
         # pyarrow's "_"-prefix ignore rule, so lineage _MANIFEST.json
         # files inside ds= dirs would be read as parquet and crash
-        ds = ray.data.read_parquet(table, columns=read_cols,
-                                   partition_filter=flt,
-                                   file_extensions=["parquet"],
-                                   override_num_blocks=blocks)
+        raw = ray.data.read_parquet(table, columns=read_cols,
+                                    partition_filter=flt,
+                                    file_extensions=["parquet"],
+                                    override_num_blocks=blocks)
     else:
-        ds = ray.data.read_parquet(paths, columns=read_cols,
-                                   override_num_blocks=blocks)
-    return ds.map_batches(
-        _Render(query, keep_columns, synthesize_eod_ts), batch_format="pyarrow"
-    )
+        raw = ray.data.read_parquet(paths, columns=read_cols,
+                                    override_num_blocks=blocks)
+    out = raw.map_batches(render, batch_format="pyarrow")
+    sch = known_schema(raw)
+    if sch is None:
+        return out
+    if read_cols and is_partitioned_dir:
+        sch = _hive_order(sch, part_col)
+    return with_schema(out, render(sch.empty_table()).schema)
+
+
+def _hive_order(sch: pa.Schema, part_col: str) -> pa.Schema:
+    """The hive partition column comes last in every block, whatever the
+    order of ``columns=`` (the reader's declared schema keeps the
+    requested order)."""
+    if part_col not in sch.names:
+        return sch
+    i = sch.get_field_index(part_col)
+    return sch.remove(i).append(sch.field(i))
 
 
 def scan_source(
@@ -331,25 +344,55 @@ def scan_source(
         # streams through this source's select/where rendering
         from .pipelines.joins import compute_join
 
-        ds = compute_join(source.join)
-        return ds.map_batches(_Render(source.query, keep_columns),
-                              batch_format="pyarrow")
+        return map_typed(compute_join(source.join),
+                         _Render(source.query, keep_columns))
     return scan_table(source.snapshot_table, source.query, columns, keep_columns)
 
 
-def required_columns(query: TQuery, needed: Sequence[str]) -> Optional[list[str]]:
-    """Columns to push into read_parquet: source columns referenced by simple
-    selects plus ``needed`` physical columns. Returns None (= all) when any
-    select is a callable (unknown inputs)."""
-    if query.selects is None:
+def groupby_columns(conf) -> set[str]:
+    """Columns a GroupBy's aggregation reads from its rendered source:
+    keys, ``ts``, part inputs, buckets and the tie-break column."""
+    cols = {*conf.key_columns, TS_COL}
+    for p in conf.parts():
+        cols.add(p.input_column)
+        if p.bucket is not None:
+            cols.add(p.bucket)
+    if conf.tie_break_column:
+        cols.add(conf.tie_break_column)
+    return cols
+
+
+def required_columns(source: Source, conf) -> Optional[list[str]]:
+    """Physical columns a scan of GroupBy ``conf``'s ``source`` must read:
+    the key, time, part input, bucket and tie-break columns — or, when the
+    query has selects, every column its string selects read. None (read
+    every column) when a select or where is a callable, whose inputs are
+    unknown. Pushed into ``read_parquet(columns=...)`` so payload columns
+    no aggregation reads are never read.
+
+    Optional columns are checked against one footer: the tie-break and
+    time columns are read only where present, and an event table without
+    its time column reads the partition column instead (its end-of-day ts
+    is synthesized from it)."""
+    if not isinstance(source, (EventSource, EntitySource)):
         return None
-    cols = set()
-    for _out, expr in query.selects:
-        if isinstance(expr, str):
-            cols.add(expr)
-        else:
-            return None
+    query = source.query
     if query.wheres:
         return None
-    cols.update(needed)
+    if query.selects is not None:
+        if not all(isinstance(e, str) for _o, e in query.selects):
+            return None
+        return sorted({e for _o, e in query.selects})
+    table = source.table if isinstance(source, EventSource) \
+        else source.snapshot_table
+    footer = _footer_schema(table, query.partition_column)
+    if footer is None:
+        return None
+    cols = groupby_columns(conf) - {TS_COL, conf.tie_break_column}
+    if conf.tie_break_column in footer.names:
+        cols.add(conf.tie_break_column)
+    if query.time_column in footer.names:
+        cols.add(query.time_column)
+    elif isinstance(source, EventSource):
+        cols.add(query.partition_column)
     return sorted(cols)

@@ -22,6 +22,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data
 
+from ..util import known_schema
+
 MANIFEST = "_MANIFEST.json"
 
 
@@ -83,6 +85,7 @@ def write_partitioned(
     input_range: Optional[tuple] = None,
     partition_col: str = "ds",
     metrics: Optional[dict] = None,
+    step_start: Optional[float] = None,
 ) -> dict[str, dict]:
     """Write a Dataset/Table with a `ds` column into per-day dirs, atomically,
     each with a lineage manifest. Returns {ds: manifest}.
@@ -90,12 +93,21 @@ def write_partitioned(
     Write path: stream into a tmp dir (ray write_parquet with partition_cols
     keeps it distributed), then per-partition rename into place — a crashed
     run leaves either the old complete partition or nothing, never a torn
-    one. Completed partitions are the resume unit."""
+    one. Completed partitions are the resume unit.
+
+    Every written file's footer must carry the schema the Dataset declared
+    at plan time (``util.dataset_schema``; without a declared schema, the
+    first file's) minus ``partition_col``, by column names and types — a
+    mismatch raises before any partition is marked complete.
+
+    ``step_start`` (a ``time.perf_counter()`` value) records the caller's
+    step wall time, taken after the write executed, as ``step_wall_sec``."""
     t0 = time.perf_counter()
     tmp = os.path.join(out_dir, f"_tmp.{uuid.uuid4().hex[:8]}")
     os.makedirs(tmp, exist_ok=True)
     if isinstance(ds_or_table, pa.Table):
         tbl = ds_or_table
+        declared = tbl.schema
         ds_vals = tbl[partition_col].to_pandas().unique()
         for v in ds_vals:
             import pyarrow.compute as pc
@@ -106,19 +118,41 @@ def write_partitioned(
             pq.write_table(sub.drop_columns([partition_col]),
                            os.path.join(pdir, "part-0.parquet"))
     else:
+        declared = known_schema(ds_or_table)
         ds_or_table.write_parquet(tmp, partition_cols=[partition_col])
     wall = time.perf_counter() - t0
+    expected = None if declared is None else [
+        (f.name, f.type) for f in declared if f.name != partition_col]
+
+    staged: list[tuple[str, str, int]] = []
+    try:
+        for d in sorted(os.listdir(tmp)):
+            if not d.startswith(f"{partition_col}="):
+                continue
+            src = os.path.join(tmp, d)
+            rows = 0
+            for f in sorted(os.listdir(src)):
+                if not f.endswith(".parquet"):
+                    continue
+                pf = pq.ParquetFile(os.path.join(src, f))
+                rows += pf.metadata.num_rows
+                got = [(fld.name, fld.type) for fld in pf.schema_arrow]
+                if expected is None:
+                    expected = got
+                elif got != expected:
+                    raise ValueError(
+                        f"written file {d}/{f} has schema {got}, but the "
+                        f"dataset declared {expected} — the plan-time "
+                        "schema of the pipeline that produced it is wrong")
+            staged.append((d.split("=", 1)[1], src, rows))
+    except ValueError:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
 
     manifests: dict[str, dict] = {}
-    for d in sorted(os.listdir(tmp)):
-        if not d.startswith(f"{partition_col}="):
-            continue
-        ds_val = d.split("=", 1)[1]
-        src = os.path.join(tmp, d)
-        rows = sum(
-            pq.ParquetFile(os.path.join(src, f)).metadata.num_rows
-            for f in os.listdir(src) if f.endswith(".parquet")
-        )
+    step_wall = {} if step_start is None else {
+        "step_wall_sec": round(time.perf_counter() - step_start, 3)}
+    for ds_val, src, rows in staged:
         man = {
             "ds": ds_val,
             "config_hash": config_hash,
@@ -127,6 +161,7 @@ def write_partitioned(
             "write_wall_sec": round(wall, 3),
             "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             **(metrics or {}),
+            **step_wall,
         }
         with open(os.path.join(src, MANIFEST), "w") as f:
             json.dump(man, f)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 import pyarrow as pa
 import ray.data
@@ -22,22 +24,66 @@ def drop_null_key_rows(t: pa.Table, keys) -> pa.Table:
     return t.filter(mask) if mask is not None else t
 
 
-def dataset_schema(ds: ray.data.Dataset) -> pa.Schema:
-    """Arrow schema of a Dataset regardless of block type (Arrow or pandas).
+def with_schema(ds: ray.data.Dataset, schema: pa.Schema) -> ray.data.Dataset:
+    """Stash the plan-time output schema of ``ds`` (see
+    :func:`dataset_schema`) and return ``ds``."""
+    ds._chronon_schema = schema.remove_metadata()
+    return ds
 
-    A ZERO-ROW pipeline reports schema None after any map (no block ever
-    reaches the UDF); `sources.read_parquet` stashes the input schema on
-    the Dataset for exactly this case, so empty checkpoint / empty
-    day-range reads keep their real schema instead of crashing here."""
-    sch = ds.schema()
+
+def known_schema(ds) -> Optional[pa.Schema]:
+    """The schema of ``ds`` known without executing anything: the one a
+    pipeline function declared, else the Arrow schema Ray knows from
+    metadata (a parquet read, an in-memory Arrow dataset), else None."""
+    stash = getattr(ds, "_chronon_schema", None)
+    if isinstance(stash, pa.Schema):
+        return stash
+    base = getattr(ds.schema(fetch_if_missing=False), "base_schema", None)
+    return base if isinstance(base, pa.Schema) else None
+
+
+def map_typed(ds: ray.data.Dataset, fn) -> ray.data.Dataset:
+    """``ds.map_batches(fn, batch_format="pyarrow")`` whose output schema
+    is known at plan time: ``fn`` is applied once to a zero-row table of
+    the input schema. For the engine's own column plumbing (select,
+    rename, drop, filter, derived ``ds``), whose output types do not
+    depend on the data. Executes nothing: an input of unknown schema
+    gives an output of unknown schema."""
+    out = ds.map_batches(fn, batch_format="pyarrow")
+    sch = known_schema(ds)
+    return out if sch is None else with_schema(out,
+                                               fn(sch.empty_table()).schema)
+
+
+def dataset_schema(ds: ray.data.Dataset) -> pa.Schema:
+    """Arrow schema of a Dataset, known at plan time.
+
+    Schema contract: every public pipeline function declares the schema
+    of the Dataset it returns (``with_schema``), derived from its inputs'
+    schemas and its declared output types — never from executing the
+    plan. This returns that schema (or one Ray knows from metadata) first.
+    Only a Dataset nothing typed falls back to ``Dataset.schema()``, which
+    executes the plan up to its first block (all of it behind an
+    exchange). ``state.lineage.write_partitioned`` checks the declared
+    schema against the footer of every file it writes and raises on any
+    difference, so a wrong declaration fails loudly at the first write.
+    Zero-row pipelines, for which Ray reports no schema at all, keep
+    their real one."""
+    sch = known_schema(ds)
     if sch is None:
-        stash = getattr(ds, "_chronon_schema", None)
-        if isinstance(stash, pa.Schema):
-            return stash
+        sch = _arrow_schema(ds.schema())
+    if sch is None:
         raise ValueError(
             "dataset has unknown schema (a zero-row pipeline?) — read "
             "inputs through chronon_ray.sources.read_parquet / scan_table "
             "so empty ranges stay typed")
+    return sch
+
+
+def _arrow_schema(sch) -> Optional[pa.Schema]:
+    """A Ray ``Schema`` (Arrow- or pandas-backed) as an Arrow schema."""
+    if sch is None:
+        return None
     base = getattr(sch, "base_schema", None)
     if isinstance(base, pa.Schema):
         return base

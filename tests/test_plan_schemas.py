@@ -1,0 +1,464 @@
+"""Plan-time schemas and read projections.
+
+Every public pipeline function declares the schema of the Dataset it
+returns (``util.dataset_schema``), so a backfill step executes a plan only
+to write data:
+
+1. a 3-part, 1-step ``backfill_join`` executes exactly its 5 writes, and an
+   incremental roll day executes only its 2 writes (counted with a Ray Data
+   execution callback);
+2. the declared schema equals the executed one, for non-empty and zero-row
+   inputs alike, and ``write_partitioned`` raises on a wrong one;
+3. no UDF the engine passes to ``map_batches``/``map_groups`` captures a
+   driver-side Dataset;
+4. GroupBy source scans read only the columns the aggregation needs, and a
+   requested column the table lacks raises on empty and non-empty ranges;
+5. a final-only join run over a partial part cache raises and writes
+   nothing; every manifest's step wall covers its write.
+"""
+
+import contextlib
+import glob
+import inspect
+import json
+import os
+import sys
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+import ray.data
+
+from chronon_ray.api import (EventSource, GroupByConf, JoinConf, JoinPart,
+                             TQuery, UNBOUNDED, agg, window)
+from chronon_ray.sources import list_partitions, required_columns, scan_table
+from chronon_ray.testing.tokengen import (gen_events, gen_queries,
+                                          write_partitioned as wp)
+from chronon_ray.util import dataset_schema, known_schema, with_schema
+
+DAY = 86_400_000
+
+
+@pytest.fixture(scope="module")
+def tables(ray_session, tmp_path_factory):
+    base = tmp_path_factory.mktemp("plan_schemas")
+    ev = gen_events(3000, n_keys=40, seed=11, span_days=10)
+    q = gen_queries(600, ev, n_keys=40, seed=12)
+    wp(ev, str(base / "events"))
+    wp(q, str(base / "queries"))
+    return {"events": str(base / "events"), "queries": str(base / "queries"),
+            "days": list_partitions(str(base / "queries"))}
+
+
+def _parts(events_dir):
+    src = EventSource(table=events_dir)
+    return [GroupByConf(name=n, sources=(src,), key_columns=("doc_id",),
+                        aggregations=(a,))
+            for n, a in (("sum7d", agg("n_tok", "sum", [window(7, "d")])),
+                         ("cnt1d", agg("n_tok", "count", [window(1, "d")])),
+                         ("src7d", agg("source", "last", [window(7, "d")])))]
+
+
+def _join_conf(t):
+    return JoinConf(name="ps", left=EventSource(table=t["queries"]),
+                    parts=tuple(JoinPart(group_by=g)
+                                for g in _parts(t["events"])))
+
+
+INC_CONF = GroupByConf(
+    name="inc", sources=(), key_columns=("doc_id",),
+    aggregations=(agg("n_tok", "sum", [window(7, "d"), UNBOUNDED]),
+                  agg("n_tok", "count", [window(1, "d")]),
+                  agg("source", "unique_count", [window(7, "d")])))
+
+
+class _CountExecutions:
+    """Ray Data execution callback that counts plan executions. Datasets
+    deep-copy their DataContext (and its callbacks): the copy must stay
+    this object. Tasks receive the context pickled, where the callback is
+    never called (and this test module is not importable)."""
+
+    def __init__(self):
+        self.n = 0
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        return object, ()
+
+    def before_execution_starts(self, executor):
+        self.n += 1
+
+    def on_execution_step(self, executor):
+        pass
+
+    def after_execution_succeeds(self, executor):
+        pass
+
+    def after_execution_fails(self, executor, error):
+        pass
+
+
+@contextlib.contextmanager
+def count_executions():
+    from ray.data import DataContext
+    from ray.data._internal.execution import execution_callback as ecb
+
+    ctx = DataContext.get_current()
+    key = ecb.EXECUTION_CALLBACKS_CONFIG_KEY
+    saved = ctx.get_config(key, None)
+    cb = _CountExecutions()
+    ctx.set_config(key, [*ecb.get_execution_callbacks(ctx), cb])
+    try:
+        yield cb
+    finally:
+        if saved is None:
+            ctx.remove_config(key)
+        else:
+            ctx.set_config(key, saved)
+
+
+def _manifests(root):
+    for f in glob.glob(os.path.join(root, "**", "_MANIFEST.json"),
+                       recursive=True):
+        with open(f) as fh:
+            yield f, json.load(fh)
+
+
+def _assert_step_wall_covers_write(root):
+    seen = 0
+    for f, m in _manifests(root):
+        if "write_wall_sec" not in m:  # checkpoint manifests
+            continue
+        assert m["step_wall_sec"] >= m["write_wall_sec"], f
+        seen += 1
+    assert seen
+
+
+# ------------------------------------------------------- executions per step
+
+
+def test_backfill_join_step_executes_only_its_writes(tables, tmp_path):
+    from chronon_ray.pipelines.backfill import backfill_join
+
+    jc = _join_conf(tables)
+    start, end = tables["days"][-3], tables["days"][-1]
+    out = str(tmp_path / "join")
+    with count_executions() as cb:
+        s = backfill_join(jc, out, start, end, step_days=7, num_partitions=4)
+    assert len(s["partitions_written"]) == 3
+    # left cache write + 3 part writes + the final write
+    assert cb.n == 5
+    with count_executions() as cb:
+        again = backfill_join(jc, out, start, end, step_days=7,
+                              num_partitions=4)
+    assert again["partitions_written"] == [] and cb.n == 0
+    _assert_step_wall_covers_write(out)
+
+
+def test_incremental_roll_day_executes_only_its_writes(tables, tmp_path):
+    from chronon_ray.pipelines.backfill import backfill_incremental
+
+    d0, d1 = tables["days"][-2], tables["days"][-1]
+    out, ck = str(tmp_path / "out"), str(tmp_path / "ck")
+
+    def run(end):
+        return backfill_incremental(tables["queries"], tables["events"],
+                                    INC_CONF, out, ck, d0, end,
+                                    num_partitions=4)
+
+    with count_executions() as cb:
+        s = run(d0)
+    assert s["checkpoints"] == {d0: "bootstrapped"}
+    assert cb.n == 2  # checkpoint write + output write
+    with count_executions() as cb:
+        s = run(d1)
+    assert s["checkpoints"] == {d1: "rolled"}
+    assert cb.n == 2  # rolled checkpoint write + output write
+    _assert_step_wall_covers_write(out)
+
+
+# --------------------------------------------- declared == executed schema
+
+
+def _scan(t, name, empty, columns=None, days=(-2, -1)):
+    q = TQuery(start_partition="2000-01-01", end_partition="2000-01-02") \
+        if empty else TQuery(start_partition=t["days"][days[0]],
+                             end_partition=t["days"][days[1]])
+    return scan_table(t[name], q, columns=columns)
+
+
+def _events(t, empty, days=(-2, -1)):
+    return _scan(t, "events", empty, days=days,
+                 columns=required_columns(EventSource(table=t["events"]),
+                                          INC_CONF))
+
+
+def _batch_end(t):
+    import pandas as pd
+
+    return int(pd.Timestamp(t["days"][-2]).value // 10**6)
+
+
+def _checkpoint(t, empty):
+    from chronon_ray.pipelines.upload import groupby_upload
+
+    # the days before the batch end
+    return groupby_upload(_events(t, empty, days=(-5, -3)), INC_CONF,
+                          _batch_end(t), num_partitions=4, full_hops=True)
+
+
+def _build(name, t, empty):
+    from chronon_ray.pipelines.assembly import key_partitioned_join
+    from chronon_ray.pipelines.joins import distinct_rows
+    from chronon_ray.pipelines.temporal import temporal_join
+    from chronon_ray.pipelines.upload import roll_checkpoint, serve_with_events
+
+    gb = _parts(t["events"])[0]
+    if name == "scan_table":
+        return _scan(t, "queries", empty)
+    if name == "distinct_rows":
+        return distinct_rows(_scan(t, "queries", empty), ["doc_id", "ts"], 4)
+    if name in ("temporal_join", "temporal_join_salted"):
+        hot = ["doc_00000000"] if name.endswith("salted") else None
+        return temporal_join(_scan(t, "queries", empty), _events(t, empty),
+                             gb, num_partitions=4, hot_keys=hot,
+                             salt_shards=2 if hot else None)
+    if name == "key_partitioned_join":
+        feats = temporal_join(
+            distinct_rows(_scan(t, "queries", empty), ["doc_id", "ts"], 4),
+            _events(t, empty), gb, num_partitions=4)
+        return key_partitioned_join(_scan(t, "queries", empty), [feats],
+                                    keys=["doc_id", "ts"], how="left",
+                                    num_partitions=4)
+    if name == "groupby_upload":
+        return _checkpoint(t, empty)
+    if name == "roll_checkpoint":
+        end = _batch_end(t)
+        return roll_checkpoint(_checkpoint(t, empty), _events(t, empty),
+                               INC_CONF, end, end + DAY, num_partitions=4)
+    if name == "serve_with_events":
+        return serve_with_events(_checkpoint(t, empty), _events(t, empty),
+                                 _scan(t, "queries", empty), INC_CONF,
+                                 _batch_end(t), num_partitions=4,
+                                 full_hops=True)
+    if name == "serve_with_tiles":
+        from chronon_ray.pipelines.streaming import make_tiles, serve_with_tiles
+
+        head = _events(t, empty)
+        tiles = make_tiles(head, INC_CONF, _batch_end(t), num_partitions=4)
+        return serve_with_tiles(_checkpoint(t, empty), tiles, head,
+                                _scan(t, "queries", empty), INC_CONF,
+                                _batch_end(t), num_partitions=4,
+                                full_hops=True)
+    raise AssertionError(name)
+
+
+def _pairs(schema):
+    return [(f.name, f.type) for f in schema]
+
+
+@pytest.mark.parametrize("empty", [False, True], ids=["rows", "zero_rows"])
+@pytest.mark.parametrize("name", [
+    "scan_table", "distinct_rows", "temporal_join", "temporal_join_salted",
+    "key_partitioned_join", "groupby_upload", "roll_checkpoint",
+    "serve_with_events", "serve_with_tiles"])
+def test_declared_schema_equals_executed(tables, name, empty):
+    ds = _build(name, tables, empty)
+    declared = known_schema(ds)
+    assert declared is not None, f"{name} declares no schema"
+    done = ds.materialize()
+    if not empty:
+        assert done.count() > 0
+        assert _pairs(declared) == _pairs(done.schema().base_schema)
+    else:
+        # zero rows: Ray knows no schema at all; the declared one must be
+        # the non-empty input's (one typing path for both)
+        assert done.count() == 0
+        assert _pairs(declared) == _pairs(
+            known_schema(_build(name, tables, False)))
+
+
+def test_write_rejects_a_wrong_declared_schema(tables, tmp_path):
+    from chronon_ray.state.lineage import completed_partitions, write_partitioned
+
+    ds = _scan(tables, "queries", False)
+    good = dataset_schema(ds)
+    bad = pa.schema([pa.field(f.name, pa.float64())
+                     if f.name == "ts" else f for f in good])
+    out = str(tmp_path / "w")
+    with pytest.raises(ValueError, match="declared"):
+        write_partitioned(with_schema(ds, bad), out, "h")
+    assert completed_partitions(out) == []
+    assert not [d for d in os.listdir(out) if d.startswith("_tmp")]
+    assert write_partitioned(with_schema(ds, good), out, "h")
+
+
+# ------------------------------------------------- no Dataset in a worker UDF
+
+
+def _datasets_in(obj, depth=0, seen=None):
+    """Datasets reachable from a UDF: closure cells, defaults, bound
+    ``self`` and callable-class attributes, a few levels deep."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen or depth > 4:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, ray.data.Dataset):
+        return [obj]
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        vals = list(obj)
+    elif isinstance(obj, dict):
+        vals = list(obj.values())
+    elif inspect.isfunction(obj):
+        vals = [c.cell_contents for c in (obj.__closure__ or ())
+                if _cell_set(c)]
+        vals += list(obj.__defaults__ or ())
+        vals += list((obj.__kwdefaults__ or {}).values())
+    elif inspect.ismethod(obj):
+        vals = [obj.__self__, obj.__func__]
+    elif callable(obj) and hasattr(obj, "__dict__") \
+            and not isinstance(obj, type):
+        vals = list(vars(obj).values())
+    else:
+        return []
+    return [d for v in vals for d in _datasets_in(v, depth + 1, seen)]
+
+
+def _cell_set(cell):
+    try:
+        cell.cell_contents
+    except ValueError:
+        return False
+    return True
+
+
+def test_pipeline_udfs_capture_no_dataset(tables, tmp_path, monkeypatch):
+    from ray.data.grouped_data import GroupedData
+
+    from chronon_ray.pipelines.backfill import (backfill_incremental,
+                                                backfill_join)
+
+    package = os.sep + "chronon_ray" + os.sep
+    found = []
+
+    def checked(orig):
+        def wrapper(self, fn, *args, **kwargs):
+            # the pipeline function, or the util.map_typed it called
+            callers = [sys._getframe(i).f_code.co_filename
+                       for i in (1, 2)]
+            caller = callers[0]
+            if any(package in c for c in callers):
+                held = _datasets_in(fn) + _datasets_in(
+                    kwargs.get("fn_constructor_args") or ())
+                if held:
+                    found.append((caller, getattr(fn, "__name__", fn)))
+            return orig(self, fn, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ray.data.Dataset, "map_batches",
+                        checked(ray.data.Dataset.map_batches))
+    monkeypatch.setattr(GroupedData, "map_groups",
+                        checked(GroupedData.map_groups))
+    start, end = tables["days"][-2], tables["days"][-1]
+    backfill_join(_join_conf(tables), str(tmp_path / "j"), start, end,
+                  num_partitions=4)
+    backfill_incremental(tables["queries"], tables["events"], INC_CONF,
+                         str(tmp_path / "o"), str(tmp_path / "c"), start,
+                         end, num_partitions=4)
+    for name in ("temporal_join_salted", "key_partitioned_join"):
+        _build(name, tables, False)
+    assert found == []
+
+
+def test_capture_check_sees_a_captured_dataset(ray_session):
+    ds = ray.data.from_items([{"a": 1}])
+
+    def udf(t, _d=ds):
+        return t
+
+    class Udf:
+        def __init__(self):
+            self.d = [ds]
+
+        def __call__(self, t):
+            return t
+
+    assert _datasets_in(udf) and _datasets_in(Udf())
+    assert _datasets_in(lambda t: (ds, t))
+
+
+# ---------------------------------------------------- read projections
+
+
+def test_groupby_scans_read_only_needed_columns(tables, tmp_path):
+    src = EventSource(table=tables["events"])
+    cols = required_columns(src, INC_CONF)
+    assert cols == ["doc_id", "n_tok", "source", "ts"]
+    assert "tokens" not in dataset_schema(
+        scan_table(tables["events"], TQuery(), columns=cols)).names
+    # a callable where may read any column: read them all
+    assert required_columns(
+        EventSource(table=tables["events"],
+                    query=TQuery(wheres=(lambda t: t["n_tok"],))),
+        INC_CONF) is None
+    # string selects read exactly their inputs
+    assert required_columns(
+        EventSource(table=tables["events"],
+                    query=TQuery.of(selects={"doc_id": "doc_id",
+                                             "ts": "ts",
+                                             "n_tok": "n_tok",
+                                             "source": "source",
+                                             "extra": "tokens"})),
+        INC_CONF) == ["doc_id", "n_tok", "source", "tokens", "ts"]
+    # an event table without its time column reads the partition column,
+    # from which the end-of-day ts is synthesized
+    no_ts = tmp_path / "no_ts"
+    ev = pq.read_table(tables["events"]).drop_columns(["ts"])
+    ev = ev.set_column(ev.column_names.index("ds"), "ds",
+                       ev["ds"].cast(pa.string()))
+    wp(ev, str(no_ts))
+    src = EventSource(table=str(no_ts))
+    assert "ds" in required_columns(src, INC_CONF)
+    from chronon_ray.sources import scan_source
+
+    s = scan_source(src, columns=required_columns(src, INC_CONF))
+    assert "ts" in dataset_schema(s).names and s.count() == 3000
+
+
+@pytest.mark.parametrize("empty", [False, True], ids=["rows", "zero_rows"])
+def test_scan_missing_column_raises(tables, empty):
+    with pytest.raises(KeyError, match="n_tokk"):
+        _scan(tables, "events", empty, columns=["doc_id", "n_tokk"])
+
+
+# ------------------------------------------------------ partial part cache
+
+
+def test_final_phase_over_partial_part_cache_raises(tables, tmp_path):
+    from chronon_ray.pipelines.backfill import backfill_join
+    from chronon_ray.state.lineage import completed_partitions
+
+    jc = _join_conf(tables)
+    days = tables["days"][-3:]
+    out = str(tmp_path / "j")
+    backfill_join(jc, out, days[0], days[1], num_partitions=4,
+                  phase="parts")
+    with pytest.raises(RuntimeError, match=days[2]) as err:
+        backfill_join(jc, out, days[0], days[2], num_partitions=4,
+                      phase="final")
+    assert days[0] not in str(err.value)
+    assert completed_partitions(out) == []
+
+
+def test_roll_of_a_collapsed_checkpoint_raises(tables):
+    from chronon_ray.pipelines.upload import groupby_upload, roll_checkpoint
+
+    end = _batch_end(tables)
+    collapsed = groupby_upload(_events(tables, False, days=(-5, -3)),
+                               INC_CONF, end, num_partitions=4)
+    rolled = roll_checkpoint(collapsed, _events(tables, False), INC_CONF,
+                             end, end + DAY, num_partitions=4)
+    with pytest.raises(Exception, match="collapsed-only"):
+        rolled.materialize()

@@ -122,6 +122,30 @@ def test_clip_ds_range_timestamp_typed_ts(ray_session):
     out = clip_ds_range(rd.from_arrow(t), "2024-01-10", "2024-01-12") \
         .to_pandas()
     assert sorted(out["v"]) == [2, 3]
+    # sub-millisecond parts truncate to the millisecond instead of
+    # raising ArrowInvalid on the ms cast
+    us = pd.to_datetime(["2024-01-09 23:59:59.999999",
+                         "2024-01-10 00:00:00.000001",
+                         "2024-01-12 23:59:59.999999",
+                         "2024-01-13 00:00:00.000001"])
+    t = pa.table({"ts": pa.array(us, type=pa.timestamp("us")),
+                  "v": pa.array([1, 2, 3, 4], type=pa.int64())})
+    out = clip_ds_range(rd.from_arrow(t), "2024-01-10", "2024-01-12") \
+        .to_pandas()
+    assert sorted(out["v"]) == [2, 3]
+
+
+def test_summary_stats_sub_ms_timestamps(ray_session):
+    from chronon_ray.pipelines.stats import summary_stats
+
+    us = pd.to_datetime(["1970-01-01 00:00:00.000001",
+                         "1970-01-01 00:59:59.999999",
+                         "1970-01-01 01:00:00.000500"])
+    t = pa.table({"ts": pa.array(us, type=pa.timestamp("us")),
+                  "v": pa.array([1.0, 2.0, 3.0])})
+    out = summary_stats(rd.from_arrow(t), time_bucket_minutes=60).to_pandas()
+    assert sorted(out["bucket_ts"]) == [0, HOUR]
+    assert sorted(out["total_count"]) == [1, 2]
 
 
 def test_compare_join_no_false_join_above_2_53(ray_session):
