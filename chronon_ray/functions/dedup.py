@@ -169,16 +169,6 @@ def _perm_params(num_perm: int, seed: int = 1234) -> tuple[np.ndarray, np.ndarra
     return a, b
 
 
-def _minhash_sig(shingles: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """num_perm minima of (a*x+b) mod p over the shingle set."""
-    if len(shingles) == 0:
-        return np.full(len(a), np.iinfo(np.uint64).max, dtype=np.uint64)
-    x = shingles.astype(np.uint64) % np.uint64(_MERSENNE)
-    # (P, S) = a[:,None]*x[None,:] + b — python ints avoid uint64 overflow wrap
-    prod = (x[None, :] * a[:, None] + b[:, None]) % np.uint64(_MERSENNE)
-    return prod.min(axis=1)
-
-
 def _minhash_sig_batch(shingle_list: list[np.ndarray], a: np.ndarray,
                        b: np.ndarray, chunk_shingles: int = 8192) -> np.ndarray:
     """Batched signatures: one (P, ΣS) matmul per chunk of docs +
@@ -210,49 +200,6 @@ def _minhash_sig_batch(shingle_list: list[np.ndarray], a: np.ndarray,
             sigs[nonempty, :] = mins.T
         i = j
     return sigs
-
-
-class MinHashStage:
-    """Actor-pool stage: text → minhash signature (+ band hashes).
-    Permutation params are built once per actor in __init__."""
-
-    def __init__(self, text_col: str, id_col: str, num_perm: int = 128,
-                 bands: int = 16, shingle_k: int = 5):
-        assert num_perm % bands == 0
-        self.text_col, self.id_col = text_col, id_col
-        self.num_perm, self.bands, self.k = num_perm, bands, shingle_k
-        self.rows_per_band = num_perm // bands
-        self.a, self.b = _perm_params(num_perm)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch[self.text_col].to_pandas()
-        ids = batch[self.id_col]
-        sh = _char_shingles(texts, self.k)
-        sigs = _minhash_sig_batch(sh, self.a, self.b)
-        r = self.rows_per_band
-        band_hash = np.empty((len(texts), self.bands), dtype=np.int64)
-        for bi in range(self.bands):
-            seg = sigs[:, bi * r:(bi + 1) * r]
-            hh = np.zeros(len(texts), dtype=np.uint64)
-            for c in range(r):
-                hh = hh * np.uint64(1099511628211) + seg[:, c]
-            band_hash[:, bi] = (hh >> np.uint64(1)).astype(np.int64)
-        n = len(texts)
-        sig_rows = sigs.view(np.int64)
-        # build the list<int64> column from flat buffers — a tolist() here
-        # materializes n × bands × num_perm python ints and dominates the
-        # stage profile
-        flat = np.tile(sig_rows, (self.bands, 1)).reshape(-1)
-        offsets = np.arange(0, (n * self.bands + 1) * self.num_perm,
-                            self.num_perm, dtype=np.int32)
-        sig_list = pa.ListArray.from_arrays(pa.array(offsets),
-                                            pa.array(flat))
-        return pa.table({
-            self.id_col: _tile_array(ids, self.bands),  # band-major layout
-            "band": pa.array(np.repeat(np.arange(self.bands, dtype=np.int32), n)),
-            "band_hash": pa.array(band_hash.T.reshape(-1)),
-            "sig": sig_list,
-        })
 
 
 def _tile_array(arr, times: int) -> pa.Array:
@@ -655,10 +602,6 @@ def connected_components(
     (no driver-side union-find, no broadcast of the label table — scales to
     edge/node sets that don't fit one node). Rounds ≈ component diameter;
     near-dup components are shallow."""
-    # materialize BEFORE sizing: auto_partitions calls size_bytes(), which
-    # executes a lazy pairs pipeline once just to measure it — the edge
-    # build below would then run the whole LSH pipeline a second time
-    pairs = pairs.materialize()
     if num_partitions is None:
         num_partitions = auto_partitions(pairs)
     labels = ids.map_batches(
@@ -1076,12 +1019,17 @@ class _NgramEmit:
     unique), which is the map-side combine that keeps the shuffle at
     distinct-gram volume instead of occurrence volume.
 
-    Arrow in / Arrow out: tokenization is ``utf8_lower`` +
-    ``split_pattern_regex`` (the complement of the old ``[a-z0-9]+``
-    findall — identical token streams), gram strings assemble via
-    ``binary_join_element_wise`` over shifted takes of the flat word
-    array, and the per-(doc, gram) combine is an Arrow ``group_by`` —
-    no pandas object columns anywhere in the emit path."""
+    Arrow in / Arrow out: the tokens are the maximal ``[a-z0-9]`` runs of
+    ``utf8_lower(text)`` (``split_pattern_regex`` on the complement).
+    ``utf8_lower`` applies the per-codepoint simple Unicode case mapping;
+    the old ``re.findall("[a-z0-9]+", text.lower())`` path applied
+    Python's full mapping. The two token streams agree except where the
+    full mapping expands a codepoint: U+0130 lowers to 'i' + U+0307 under
+    it, so 'İstanbul' tokenizes to 'istanbul' here and to 'i', 'stanbul'
+    there. Gram strings assemble via ``binary_join_element_wise`` over
+    shifted takes of the flat word array, and the per-(doc, gram) combine
+    is an Arrow ``group_by`` — no pandas object columns anywhere in the
+    emit path."""
 
     def __init__(self, text_col: str, id_col: str, n: int):
         self.__name__ = type(self).__name__

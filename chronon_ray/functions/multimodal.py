@@ -62,15 +62,6 @@ REAL_AUDIO_FORMATS = ("wav",)
 REAL_VIDEO_FORMATS = ("rawvideo",)
 
 
-def media_schema(extra_fields: Optional[list[pa.Field]] = None) -> pa.Schema:
-    fields = [
-        pa.field("media_id", pa.string()),
-        pa.field("payload", pa.binary()),
-        pa.field("meta", MEDIA_META_TYPE),
-    ]
-    return pa.schema(fields + (extra_fields or []))
-
-
 # ----------------------------------------------------------- real codecs
 
 

@@ -197,46 +197,60 @@ def backfill_join(
 ) -> dict:
     """Range-planned multi-part Join backfill with per-part cached
     intermediate tables (reference: spark/JoinBase.scala:132-227
-    computeJoinOpt — each joinPart computes into its own table with
-    independent unfilledRanges, the final assembly reads the caches).
+    computeJoinOpt — each joinPart keeps its own table with independent
+    unfilledRanges).
 
     Layout:
         out_dir/left/ds=YYYY-MM-DD/                 cached left table
         out_dir/parts/<full_prefix>/ds=YYYY-MM-DD/  per-part features
         out_dir/ds=YYYY-MM-DD/                      assembled join output
 
-    A re-run recomputes only missing part ranges and missing output
-    partitions; a config change on one part invalidates only that part's
-    cache (semantic hash archive).
+    Each of these targets has its own missing days. The steps are the
+    union of every target's missing days, sliced to ``step_days``. A step
+    is ONE co-partitioned plan (``join_step.join_step``, one exchange):
+    the left rows, the events of every part missing a day of the step and
+    the cached rows of every other part the output needs are hashed on the
+    left keys together; per partition the distinct (keys, ts) queries get
+    each computed part's features, cached parts attach by (keys, ts), and
+    the features fan back onto every left row. The step's blocks are
+    materialized once, then the left cache, each computed part's cache and
+    the derived output are written from them — each target only its
+    missing days. A re-run recomputes
+    nothing that is complete; a config change on one part invalidates
+    only that part's cache (semantic hash archive).
 
     ``phase`` mirrors the reference's split-phase orchestration
     (Driver.scala:1045-1048 join-left-table / join-final, scheduled as
-    separate DAG nodes by repo/join_backfill.py:28-139):
+    separate DAG nodes by repo/join_backfill.py:28-139) by choosing the
+    targets:
 
-    - ``"left"``: materialize ONLY the shared left table cache
-      (``run_left_table`` / mode=backfill-left analog).
-    - ``"parts"``: compute ONLY the per-part feature caches —
-      ``selected_parts`` (full prefixes) restricts to a subset, the
-      ``selected_join_parts`` + ``use_cached_left`` analog.  Reads the
-      left cache when complete, else scans the left source.
-    - ``"final"``: ONLY the final assembly from the existing caches
-      (mode=backfill-final analog); raises loudly if a needed part cache
-      is missing rather than silently emitting fewer feature columns.
-    - ``"all"`` (default): everything in one run, same resume semantics.
+    - ``"left"``: ONLY the shared left table cache (``run_left_table`` /
+      mode=backfill-left analog).
+    - ``"parts"``: ONLY the per-part feature caches — ``selected_parts``
+      (full prefixes) restricts to a subset, the ``selected_join_parts`` +
+      ``use_cached_left`` analog.  Reads the left cache when complete,
+      else scans the left source.
+    - ``"final"``: ONLY the output, every part attached from its cache
+      (mode=backfill-final analog); raises loudly, writing nothing, if a
+      needed part cache day is missing rather than silently emitting null
+      features.
+    - ``"all"`` (default): every target in one run, same resume semantics.
 
-    Running left → parts → final as three separate invocations produces
-    byte-identical output to one ``phase="all"`` run."""
-    import os
+    Every phase runs the same step plan, so running left → parts → final
+    as separate invocations gives the same output as one ``phase="all"``
+    run."""
+    import hashlib
     from dataclasses import replace as _rep
 
     import pyarrow as pa
 
     from ..api import Accuracy, TQuery
+    from ..sources import list_partitions as _list_parts
     from ..sources import required_columns, scan_source
-    from ..util import dataset_schema
-    from .assembly import key_partitioned_join
-    from .joins import apply_derivations, distinct_rows
-    from .temporal import temporal_join
+    from ..state.partitions import collapse_to_ranges
+    from ..util import dataset_schema, with_schema
+    from .join_step import FIRST, StepPart, join_step
+    from .joins import apply_derivations
 
     if phase not in ("all", "left", "parts", "final"):
         raise ValueError(f"phase must be all/left/parts/final, got {phase!r}")
@@ -258,11 +272,12 @@ def backfill_join(
     # empty left scan (unknown schema) crashes downstream (reference
     # analog: unfilledRanges intersects inputPartitions,
     # TableUtils.scala:824-841)
-    from ..sources import list_partitions as _list_parts
-
     _left_tbl = getattr(jc.left, "table", None) \
         or getattr(jc.left, "snapshot_table", None)
     left_input = (_list_parts(_left_tbl) or None) if _left_tbl else None
+    want = set(requested.partitions())
+    if left_input is not None:
+        want &= set(left_input)
 
     def _left_for(rng: PartitionRange):
         q = jc.left.query or TQuery()
@@ -279,44 +294,15 @@ def backfill_join(
         return t.append_column(
             "ds", pa.array(np.datetime_as_string(days, unit="D")))
 
-    # ---- shared left-table cache (JoinBackfillLeft / backfill-left)
-    import hashlib as _hl
-
+    # ---- targets and their missing days: the shared left-table cache
+    # (JoinBackfillLeft / backfill-left), each part cache, the output
     left_dir = os.path.join(out_dir, "left")
-    left_hash = _hl.md5(repr(jc.left).encode()).hexdigest()[:16]
-
-    def _left_cache_files(rng: PartitionRange):
-        """Parquet files of the cached left for rng, or None unless EVERY
-        requested day is cache-complete under the current left hash."""
-        done_left = completed_partitions(left_dir, left_hash)
-        days = rng.partitions()
-        if any(d not in done_left for d in days):
-            return None
-        return _partition_files(left_dir, days) or None
-
-    def _left_with_ds(rng: PartitionRange):
-        # hive-partitioned cache files carry ds only in the dir name —
-        # _add_ds re-derives it from ts (same values by construction)
-        cached = _left_cache_files(rng)
-        return map_typed(_read_parquet(cached) if cached is not None
-                         else _left_for(rng), _add_ds)
-
+    left_hash = hashlib.md5(repr(jc.left).encode()).hexdigest()[:16]
+    missing: dict = {}  # target → missing days
     if phase in ("all", "left"):
         archive_mismatched(left_dir, left_hash)
-        done_left = completed_partitions(left_dir, left_hash)
-        left_chunks = unfilled_ranges(requested, done_left,
-                                      input_partitions=left_input,
-                                      skip_first_hole=False)
-        for chunk in left_chunks:
-            for step in chunk.steps(step_days):
-                t0 = time.perf_counter()
-                lt = map_typed(_left_for(step), _add_ds)
-                manifests = write_partitioned(
-                    lt, left_dir, left_hash,
-                    input_range=(step.start, step.end), step_start=t0)
-                summary["left_partitions_written"].extend(sorted(manifests))
-        if phase == "left":
-            return summary
+        missing["left"] = want - set(completed_partitions(left_dir,
+                                                          left_hash))
 
     part_dirs = {}
     part_left_keys = None
@@ -329,6 +315,15 @@ def backfill_join(
                              f"(have {sorted(known)})")
     for part in jc.parts:
         gb = part.group_by
+        r2l = part.right_to_left()
+        left_key_cols = [r2l.get(k, k) for k in gb.key_columns]
+        if part_left_keys is None:
+            part_left_keys = left_key_cols
+        elif part_left_keys != left_key_cols:
+            raise NotImplementedError(
+                "backfill_join parts must share one left key set")
+        if phase == "left":
+            continue
         if (gb.accuracy or Accuracy.TEMPORAL) == Accuracy.SNAPSHOT:
             raise NotImplementedError(
                 "backfill_join caches TEMPORAL-accuracy parts; use "
@@ -338,117 +333,127 @@ def backfill_join(
         part_dirs[part] = pdir
         phash = _part_hash(jc, part)
         archive_mismatched(pdir, phash)
-        done = completed_partitions(pdir, phash)
-        r2l = part.right_to_left()
-        left_key_cols = [r2l.get(k, k) for k in gb.key_columns]
-        if part_left_keys is None:
-            part_left_keys = left_key_cols
-        elif part_left_keys != left_key_cols:
-            raise NotImplementedError(
-                "backfill_join parts must share one left key set")
         if phase == "final" or (selected is not None
                                 and prefix not in selected):
             summary["parts"][prefix] = {"steps": 0, "skipped": [],
                                         "selected": False}
             continue
-        chunks = unfilled_ranges(requested, done,
-                                 input_partitions=left_input,
-                                 skip_first_hole=False)
-        steps = [s for c in chunks for s in c.steps(step_days)]
+        done = completed_partitions(pdir, phash)
+        missing[part] = want - set(done)
         summary["parts"][prefix] = {
-            "steps": len(steps),
+            "steps": 0,
             "skipped": sorted(set(done) & set(requested.partitions()))}
-        w_days = max_window_days(gb)
-        for step in steps:
-            t0 = time.perf_counter()
-            left = _left_with_ds(step)
-            kt = map_typed(
-                left,
-                lambda t, cols=tuple([*left_key_cols, "ts"]),
-                names=tuple([*gb.key_columns, "ts"]):
-                    t.select(list(cols)).rename_columns(list(names)))
-            kt = distinct_rows(kt, [*gb.key_columns, "ts"], num_partitions)
-            right = None
-            right_schema = None
-            for src in gb.sources:
-                r_start = None if w_days is None \
-                    else shift_ds(step.start, -w_days)
-                q = src.query or TQuery()
-                q = _rep(q, start_partition=r_start, end_partition=step.end)
-                s = scan_source(_rep(src, query=q),
-                                columns=required_columns(src, gb))
-                if right is None:
-                    right, right_schema = s, dataset_schema(s)
-                else:
-                    right = right.union(s)
-            f = temporal_join(kt, right, gb, num_partitions=num_partitions,
-                              right_schema=right_schema)
-            rename = {p.output_name: f"{prefix}_{p.output_name}"
-                      for p in gb.parts()}
-            rename.update(dict(zip(gb.key_columns, left_key_cols)))
 
-            def fix_names(t: pa.Table, r=tuple(rename.items())):
-                m = dict(r)
-                return t.rename_columns(
-                    [m.get(c, c) for c in t.column_names])
-
-            f = map_typed(map_typed(f, fix_names), _add_ds)
-            write_partitioned(f, pdir, phash,
-                              input_range=(step.start, step.end),
-                              step_start=t0)
-            summary["part_steps_computed"] += 1
-
-    if phase == "parts":
-        return summary
-
-    # ---- final assembly from cached part tables
     out_hash = jc.semantic_hash()
-    archive_mismatched(out_dir, out_hash)
-    done_out = completed_partitions(out_dir, out_hash)
-    out_chunks = unfilled_ranges(requested, done_out,
-                                 input_partitions=left_input,
-                                 skip_first_hole=False)
-    summary["skipped_output"] = sorted(
-        set(done_out) & set(requested.partitions()))
-    out_steps = [s for c in out_chunks for s in c.steps(step_days)]
+    if phase in ("all", "final"):
+        archive_mismatched(out_dir, out_hash)
+        done_out = completed_partitions(out_dir, out_hash)
+        missing["out"] = want - set(done_out)
+        summary["skipped_output"] = sorted(
+            set(done_out) & set(requested.partitions()))
     if phase == "final":
         # a final-only run must not assemble null features for days a part
         # cache lacks and mark them complete: every part must hold every
         # day first, or nothing is written
-        need = [d for s in out_steps for d in s.partitions()]
-        missing = {}
+        lacking = {}
         for part in jc.parts:
             have = set(completed_partitions(part_dirs[part],
                                             _part_hash(jc, part)))
-            lack = [d for d in need if d not in have]
+            lack = sorted(missing["out"] - have)
             if lack:
-                missing[part.full_prefix] = lack
-        if missing:
+                lacking[part.full_prefix] = lack
+        if lacking:
             raise RuntimeError(
                 "backfill --phase final: part caches are incomplete — "
                 + "; ".join(f"{p!r} lacks {', '.join(days)}"
-                            for p, days in missing.items())
+                            for p, days in lacking.items())
                 + " — run --phase parts (optionally --selected-parts) "
                 "over these days first")
-    join_keys = [*(part_left_keys or []), "ts"]
-    for step in out_steps:
+
+    def _left_with_ds(rng: PartitionRange):
+        # the cached left when EVERY day of rng is complete; its
+        # hive-partitioned files carry ds only in the dir name — _add_ds
+        # re-derives it from ts (same values by construction)
+        done_left = set(completed_partitions(left_dir, left_hash))
+        days = rng.partitions()
+        cached = _partition_files(left_dir, days) \
+            if all(d in done_left for d in days) else []
+        return map_typed(_read_parquet(cached) if cached
+                         else _left_for(rng), _add_ds)
+
+    def _events(gb: GroupByConf, step: PartitionRange):
+        w_days = max_window_days(gb)
+        r_start = None if w_days is None else shift_ds(step.start, -w_days)
+        right = None
+        for src in gb.sources:
+            q = _rep(src.query or TQuery(), start_partition=r_start,
+                     end_partition=step.end)
+            s = scan_source(_rep(src, query=q),
+                            columns=required_columns(src, gb))
+            right = s if right is None else with_schema(
+                right.union(s), dataset_schema(right))
+        return right
+
+    def _rows(ds, days, columns=None, first_only=False):
+        """The step rows of ``days`` — with ``first_only``, one per
+        (keys, ts) — in ``columns`` (default: all but the flag)."""
+        import pyarrow.compute as pc
+
+        def keep(t: pa.Table, days=tuple(days), cols=columns) -> pa.Table:
+            mask = pc.is_in(t["ds"], value_set=pa.array(days, pa.string()))
+            if first_only:
+                mask = pc.and_(mask, t[FIRST])
+            t = t.filter(mask)
+            return t.select(list(cols)) if cols else t.drop_columns([FIRST])
+        return map_typed(ds, keep)
+
+    all_missing = set().union(*missing.values())
+    for step in (s for r in collapse_to_ranges(all_missing)
+                 for s in r.steps(step_days)):
         t0 = time.perf_counter()
+        in_step = set(step.partitions())
+        todo = {t: sorted(in_step & m) for t, m in missing.items()
+                if in_step & m}
+        out_days = todo.get("out", [])
         left = _left_with_ds(step)
-        feats = []
+        sides = []
         for part in jc.parts:
-            files = _partition_files(part_dirs[part], step.partitions())
-            if files:
-                feats.append(map_typed(
-                    _read_parquet(files),
-                    lambda t: t.drop_columns(
-                        [c for c in ("ds",) if c in t.column_names])))
-        out = key_partitioned_join(left, feats, keys=join_keys, how="left",
-                                   num_partitions=num_partitions)
-        out = apply_derivations(out, jc.derivations)
-        manifests = write_partitioned(
-            out, out_dir, out_hash, input_range=(step.start, step.end),
-            step_start=t0)
-        summary["partitions_written"].extend(sorted(manifests))
+            if part in todo:
+                sides.append(StepPart(part.full_prefix, part.group_by,
+                                      _events(part.group_by, step), True))
+            elif out_days:
+                sides.append(StepPart(
+                    part.full_prefix, part.group_by,
+                    _read_parquet(_partition_files(part_dirs[part],
+                                                   out_days)), False))
+        ds = join_step(left, part_left_keys or [], sides, num_partitions)
+        # one execution computes the step, every write reads its blocks
+        ds = with_schema(ds.materialize(), dataset_schema(ds))
+
+        def write(rows, target_dir, config_hash):
+            return sorted(write_partitioned(
+                rows, target_dir, config_hash,
+                input_range=(step.start, step.end), step_start=t0))
+
+        if "left" in todo:
+            summary["left_partitions_written"].extend(write(
+                _rows(ds, todo["left"], dataset_schema(left).names),
+                left_dir, left_hash))
+        for part in jc.parts:
+            if part not in todo:
+                continue
+            feats = [f"{part.full_prefix}_{p.output_name}"
+                     for p in part.group_by.parts()]
+            write(_rows(ds, todo[part],
+                        [*part_left_keys, "ts", *feats, "ds"],
+                        first_only=True),
+                  part_dirs[part], _part_hash(jc, part))
+            summary["parts"][part.full_prefix]["steps"] += 1
+            summary["part_steps_computed"] += 1
+        if out_days:
+            summary["partitions_written"].extend(write(
+                apply_derivations(_rows(ds, out_days), jc.derivations),
+                out_dir, out_hash))
     return summary
 
 

@@ -1,0 +1,250 @@
+"""One co-partitioned plan per Join backfill step.
+
+A Join backfill step is an as-of join of one left table against the
+windowed aggregates of every joinPart (reference: spark/JoinBase.scala:
+132-227 computeJoinOpt). ``join_step`` plans it as ONE exchange, the way
+LMFAO computes a batch of group-by aggregates with shared work:
+
+1. the left rows (side 0) and one side per part are tagged: a part that
+   must be computed brings its pruned events, a complete part its cached
+   feature rows;
+2. every side is hashed on the shared left keys with the canonical key
+   hash of the temporal join, the sides are unioned and grouped on the
+   partition id;
+3. per partition, ``StepTemporalPartition`` factorizes (keys, ts) once,
+   null-safe — that is the distinct — runs each computed part's
+   ``TemporalPartition`` on the distinct queries, attaches each cached part
+   by (keys, ts), and fans the features back onto every left row.
+
+The output holds the left rows with ``key_partitioned_join``'s column
+order (keys and ts first, then the other left columns, then each part's
+features) plus the ``FIRST`` flag, which marks one row of each (keys, ts):
+the rows a part cache keeps, however Ray splits the blocks.
+
+Sides are not padded to a union schema: each side keeps its own columns
+(those of part ``i`` namespaced as ``_<i>:<name>``) and the exchange's
+merge fills the other sides' columns with nulls.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional, Sequence
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+import ray.data
+
+from ..api import GroupByConf
+from ..util import dataset_schema, drop_null_key_rows, with_schema
+from .groupby import canon_key_hash
+from .temporal import TemporalPartition, pruned_events_schema
+
+#: output flag: the first left row of its (keys, ts)
+FIRST = "_first"
+_SRC, _PART, _QID = "_src", "_part", "_qid"
+
+
+@dataclass(frozen=True)
+class StepPart:
+    """One joinPart of a step. ``data`` holds the part's events when
+    ``computed``, else its cached feature rows (left keys, ``ts`` and the
+    prefixed feature columns)."""
+
+    prefix: str
+    conf: GroupByConf
+    data: ray.data.Dataset
+    computed: bool
+
+
+def _physical(i: int, name: str) -> str:
+    return f"_{i}:{name}"
+
+
+class _TagAlignStep:
+    """Tag one side of a join step: keep and rename its columns, cast the
+    shared key and ts columns to the left's types, drop null-key events
+    (reference removeNulls, GroupBy.scala:181 — null-key left rows stay
+    and get null features) and add the partition id and side tag."""
+
+    def __init__(self, src: int, rename: dict, shared_types: dict,
+                 hash_keys: Sequence[str], num_partitions: int,
+                 events: bool):
+        self.src = src
+        self.rename = rename  # source column → column crossing the exchange
+        self.shared_types = shared_types
+        self.hash_keys = list(hash_keys)
+        self.num_partitions = num_partitions
+        self.events = events
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        t = batch.select(list(self.rename)).rename_columns(
+            list(self.rename.values()))
+        for name, typ in self.shared_types.items():
+            if t.schema.field(name).type != typ:
+                t = t.set_column(t.column_names.index(name), name,
+                                 pc.cast(t[name], typ))
+        if self.events:
+            t = drop_null_key_rows(t, self.hash_keys)
+        part = canon_key_hash(t, self.hash_keys, self.shared_types,
+                              self.num_partitions)
+        return t.append_column(_PART, pa.array(part)).append_column(
+            _SRC, pa.array(np.full(len(t), self.src, dtype=np.int8)))
+
+
+@dataclass(frozen=True)
+class _KernelPart:
+    src: int
+    schema: pa.Schema  # the side's columns, shared names first
+    features: tuple  # (name in the side or kernel output, output name)
+    proc: Optional[TemporalPartition]  # None: a cached part
+
+
+class StepTemporalPartition:
+    """Per-partition kernel of a join step (see the module docstring)."""
+
+    def __init__(self, left_schema: pa.Schema, keys: Sequence[str],
+                 parts: Sequence[_KernelPart], out_schema: pa.Schema):
+        self.__name__ = type(self).__name__  # ray map_groups wraps fn.__name__
+        self.left_schema = left_schema
+        self.keys = list(keys)  # left keys, then ts
+        self.parts = list(parts)
+        self.out_schema = out_schema
+
+    def _side(self, tbl: pa.Table, src: np.ndarray, i: int,
+              schema: pa.Schema) -> pa.Table:
+        rows = src == i
+        if not rows.any():  # the side's columns may be absent altogether
+            return schema.empty_table()
+        names = [n if i == 0 or n in self.keys else _physical(i, n)
+                 for n in schema.names]
+        return tbl.filter(pa.array(rows)).select(names).rename_columns(
+            schema.names)
+
+    def __call__(self, tbl: pa.Table) -> pa.Table:
+        src = tbl[_SRC].to_numpy(zero_copy_only=False)
+        left = self._side(tbl, src, 0, self.left_schema)
+        n_left = len(left)
+        if n_left == 0:
+            return self.out_schema.empty_table()
+        cached = [(p, self._side(tbl, src, p.src, p.schema))
+                  for p in self.parts if p.proc is None]
+        tables = [left, *(t for _, t in cached)]
+        codes = _row_codes([pa.chunked_array([c for t in tables
+                                              for c in t[k].chunks],
+                                             type=left.schema.field(k).type)
+                            for k in self.keys])
+        # codes number rows by first appearance, left rows first: the left
+        # (keys, ts) are 0..n_q-1 and their first rows are the distinct
+        lcodes = codes[:n_left]
+        _, first = np.unique(lcodes, return_index=True)
+        n_q = len(first)
+        queries = left.take(pa.array(first)).select(self.keys)
+
+        cols = {k: left[k] for k in self.keys}
+        cols.update({f.name: left[f.name] for f in self.left_schema
+                     if f.name not in self.keys})
+        offset = n_left
+        cached_at = {}
+        for p, t in cached:
+            cached_at[p.src] = (t, codes[offset:offset + len(t)])
+            offset += len(t)
+        for p in self.parts:
+            if p.proc is not None:
+                # back to the part's own key names
+                e = self._side(tbl, src, p.src, p.schema).rename_columns(
+                    [*p.proc.keys, *p.schema.names[len(p.proc.keys):]])
+                q = queries.rename_columns([*p.proc.keys, "ts"]) \
+                    .append_column(_QID, pa.array(np.arange(n_q)))
+                out = p.proc.join(q, e)
+                at = np.empty(n_q, dtype=np.int64)
+                at[out[_QID].to_numpy(zero_copy_only=False)] = np.arange(n_q)
+                idx = pa.array(at[lcodes])
+                for name, out_name in p.features:
+                    cols[out_name] = out[name].take(idx)
+            else:
+                t, c = cached_at[p.src]
+                at = np.full(len(codes), -1, dtype=np.int64)
+                at[c] = np.arange(len(t))
+                row = at[lcodes]
+                idx = pa.array(row, mask=row < 0)
+                for name, out_name in p.features:
+                    cols[out_name] = t[name].take(idx)
+        flag = np.zeros(n_left, dtype=bool)
+        flag[first] = True
+        cols[FIRST] = pa.array(flag)
+        return pa.table(cols, schema=self.out_schema)
+
+
+def _row_codes(columns: Sequence[pa.ChunkedArray]) -> np.ndarray:
+    """One int64 code per row, equal for rows equal on every column (nulls
+    equal to nulls), numbered by first appearance."""
+    codes = None
+    for col in columns:
+        enc = pc.dictionary_encode(col.combine_chunks(),
+                                   null_encoding="encode")
+        idx = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+        codes = idx if codes is None else codes * len(enc.dictionary) + idx
+        codes = pd.factorize(codes)[0].astype(np.int64)
+    return codes
+
+
+def join_step(left: ray.data.Dataset, left_keys: Sequence[str],
+              parts: Sequence[StepPart],
+              num_partitions: int) -> ray.data.Dataset:
+    """Every left row with the features of every part in ``parts``, as
+    one exchange (see the module docstring). ``left_keys`` are the left
+    columns each part's keys map to, in the parts' key order."""
+    keys = [*left_keys, "ts"]
+    hash_keys = list(left_keys) or keys  # a join without parts
+    left_schema = dataset_schema(left)
+    shared = {k: left_schema.field(k).type for k in keys}
+    tagged = [left.map_batches(
+        _TagAlignStep(0, {n: n for n in left_schema.names}, shared,
+                      hash_keys, num_partitions, events=False),
+        batch_format="pyarrow")]
+    kernel_parts = []
+    out_fields = [left_schema.field(k) for k in keys] + [
+        f for f in left_schema if f.name not in keys]
+    for i, part in enumerate(parts, start=1):
+        gb = part.conf
+        schema = dataset_schema(part.data)
+        if part.computed:
+            events = pruned_events_schema(gb, schema)
+            to_left = dict(zip(gb.key_columns, left_keys))
+            own = [f for f in events if f.name not in (*gb.key_columns, "ts")]
+            side = pa.schema([pa.field(to_left[k], shared[to_left[k]])
+                              for k in gb.key_columns]
+                             + [pa.field("ts", shared["ts"])] + own)
+            rename = {**to_left, "ts": "ts",
+                      **{f.name: _physical(i, f.name) for f in own}}
+            proc = TemporalPartition(
+                list(gb.key_columns), gb.parts(), events,
+                [*gb.key_columns, "ts", _QID],
+                tie_break=gb.tie_break_column)
+            feats = [(f.name, f"{part.prefix}_{f.name}")
+                     for f in proc.out_fields]
+            out_fields += [f.with_name(o)
+                           for f, (_, o) in zip(proc.out_fields, feats)]
+        else:
+            own = [f for f in schema if f.name not in keys and f.name != "ds"]
+            side = pa.schema([pa.field(k, shared[k]) for k in keys] + own)
+            rename = {**{k: k for k in keys},
+                      **{f.name: _physical(i, f.name) for f in own}}
+            proc = None
+            feats = [(f.name, f.name) for f in own]
+            out_fields += own
+        tagged.append(part.data.map_batches(
+            _TagAlignStep(i, rename, shared, hash_keys, num_partitions,
+                          events=part.computed),
+            batch_format="pyarrow"))
+        kernel_parts.append(_KernelPart(i, side, tuple(feats), proc))
+    out_schema = pa.schema([*out_fields, pa.field(FIRST, pa.bool_())])
+    kernel = StepTemporalPartition(left_schema, keys, kernel_parts,
+                                   out_schema)
+    unioned = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
+    return with_schema(
+        unioned.groupby(_PART).map_groups(kernel, batch_format="pyarrow"),
+        out_schema)

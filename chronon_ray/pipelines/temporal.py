@@ -319,8 +319,14 @@ class TemporalPartition:
         q_keep = list(dict.fromkeys([*self.left_cols,
                                      *[k for k in self.keys
                                        if k in tbl.column_names]]))
-        q_tbl = tbl.filter(pa.array(is_q)).select(q_keep)
-        e_tbl = tbl.filter(pa.array(~is_q))
+        return self.join(tbl.filter(pa.array(is_q)).select(q_keep),
+                         tbl.filter(pa.array(~is_q)))
+
+    def join(self, q_tbl: pa.Table, e_tbl: pa.Table) -> pa.Table:
+        """Features of the queries ``q_tbl`` (keys, ts and ``left_cols``)
+        over the events ``e_tbl`` of the same partition. Output rows are
+        the queries sorted by (key, ts): ``left_cols``, then one column
+        per part."""
         nq = len(q_tbl)
         if nq == 0:
             fields = self.partial_out_fields if self.emit_partials else self.out_fields
@@ -973,29 +979,30 @@ def _tagged_union(left_ds, right_ds, left_schema, right_schema, part_keys,
     return tq.union(te)
 
 
-def auto_num_partitions(
-    left_ds: ray.data.Dataset,
-    right_ds: ray.data.Dataset,
-    target_bytes: int = 256 << 20,
-) -> int:
-    """Size the hash exchange from the data, not a constant: enough
-    partitions that one partition's events+queries (≈ target_bytes) fit a
-    worker's heap at 100-TB inputs, floored at 2 tasks per CPU so the
-    straggler tail can pack. ``size_bytes`` comes from parquet/block
-    metadata — no data is read."""
-    import math
+def pruned_events_schema(conf: GroupByConf,
+                         right_schema: pa.Schema) -> pa.Schema:
+    """The event columns ``conf``'s aggregation reads, in event-schema
+    order — only these pay the shuffle (a 'tokens' payload no part
+    references must not cross the exchange). Raises on a part the
+    temporal kernel cannot compute over a map input column."""
+    from ..aggregators.row import _MAP_OPS
+    from ..sources import groupby_columns
 
-    import ray as _ray
-
-    total = 0
-    for d in (left_ds, right_ds):
-        try:
-            total += d.size_bytes() or 0
-        except Exception:
-            pass
-    cpus = int(_ray.cluster_resources().get("CPU", 8)) \
-        if _ray.is_initialized() else 8
-    return max(2 * cpus, math.ceil(total / target_bytes))
+    for p in conf.parts():
+        if p.input_column in right_schema.names and pa.types.is_map(
+                right_schema.field(p.input_column).type):
+            if p.operation not in _MAP_OPS:
+                raise NotImplementedError(
+                    f"{p.operation.name} over a map input column is not "
+                    "supported in temporal_join (map-key dispatch covers "
+                    "SUM/COUNT/AVERAGE/VARIANCE/SKEW/KURTOSIS/MIN/MAX/"
+                    "UNIQUE_COUNT)")
+            if p.bucket is not None:
+                raise NotImplementedError(
+                    "bucketing over map columns is unsupported "
+                    "(reference ColumnAggregator.scala:188)")
+    needed = groupby_columns(conf)
+    return pa.schema([f for f in right_schema if f.name in needed])
 
 
 def temporal_join(
@@ -1016,9 +1023,9 @@ def temporal_join(
     ``daily=True`` switches tail hops to DailyResolution (SNAPSHOT accuracy —
     windows must be whole days).
 
-    ``num_partitions=None`` auto-sizes the exchange from input bytes
-    (``auto_num_partitions``) so partition memory stays bounded at any
-    input scale.
+    ``num_partitions=None`` auto-sizes the exchange from the inputs'
+    metadata (``util.auto_partitions``) so partition memory stays bounded
+    at any input scale.
 
     ``hot_keys``: None (no salting), "auto" (sample the event stream and salt
     keys that would dominate a partition), or an explicit key list — scalars
@@ -1034,36 +1041,17 @@ def temporal_join(
     Strictly more work than sawtooth; incompatible with daily accuracy."""
     keys = list(conf.key_columns)
     parts = conf.parts()
-    from ..sources import groupby_columns
     from ..util import dataset_schema, with_schema
 
     if num_partitions is None:
-        num_partitions = auto_num_partitions(left_ds, right_ds)
+        from ..util import auto_partitions
+
+        num_partitions = auto_partitions(left_ds, right_ds)
     left_schema = left_schema or dataset_schema(left_ds)
     right_schema = right_schema or dataset_schema(right_ds)
-    from ..aggregators.row import _MAP_OPS
-    map_parts = [p for p in parts
-                 if p.input_column in right_schema.names
-                 and pa.types.is_map(
-                     right_schema.field(p.input_column).type)]
-    for p in map_parts:
-        if p.operation not in _MAP_OPS:
-            raise NotImplementedError(
-                f"{p.operation.name} over a map input column is not "
-                "supported in temporal_join (map-key dispatch covers "
-                "SUM/COUNT/AVERAGE/VARIANCE/SKEW/KURTOSIS/MIN/MAX/"
-                "UNIQUE_COUNT)")
-        if p.bucket is not None:
-            raise NotImplementedError(
-                "bucketing over map columns is unsupported "
-                "(reference ColumnAggregator.scala:188)")
     left_cols = list(left_schema.names)
-    # prune the right side to what the aggregation actually reads — only these
-    # columns pay the shuffle (a 'tokens' payload not referenced by any part
-    # must not cross the exchange)
-    needed = groupby_columns(conf)
-    right_keep = [n for n in right_schema.names if n in needed]
-    right_schema = pa.schema([right_schema.field(n) for n in right_keep])
+    right_schema = pruned_events_schema(conf, right_schema)
+    right_keep = right_schema.names
     right_ds = right_ds.map_batches(
         lambda t, cols=tuple(right_keep): t.select(list(cols)),
         batch_format="pyarrow")

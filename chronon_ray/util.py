@@ -100,25 +100,45 @@ def _arrow_schema(sch) -> Optional[pa.Schema]:
     return pa.schema(fields)
 
 
-def auto_partitions(ds: ray.data.Dataset, expansion: float = 1.0,
+def auto_partitions(*datasets: ray.data.Dataset, expansion: float = 1.0,
                     target_bytes: int = 256 << 20,
                     floor_per_cpu: int = 2) -> int:
-    """Size a hash exchange from the input's byte size (parquet/block
-    metadata — no data read): enough partitions that one partition
-    (~target_bytes after an `expansion`-fold blowup from the map stage)
-    fits a worker heap at any input scale, floored at a multiple of the
-    cluster CPU count so the straggler tail can pack."""
+    """Size a hash exchange over ``datasets`` without executing anything:
+    enough partitions that one partition (~target_bytes after an
+    `expansion`-fold blowup from the map stage) fits a worker heap at any
+    input scale, floored at a multiple of the cluster CPU count so the
+    straggler tail can pack. Sizes come from the plan's metadata, else from
+    its read and in-memory leaves (parquet footers, block metadata); an
+    input of unknown size gets the CPU floor."""
     import math
 
     import ray as _ray
 
-    try:
-        total = int((ds.size_bytes() or 0) * expansion)
-    except Exception:
-        total = 0
+    total = int(sum(_plan_size_bytes(d) for d in datasets) * expansion)
     cpus = int(_ray.cluster_resources().get("CPU", 8)) \
         if _ray.is_initialized() else 8
     return max(floor_per_cpu * cpus, math.ceil(total / target_bytes))
+
+
+def _plan_size_bytes(ds: ray.data.Dataset) -> int:
+    """Bytes of ``ds`` known from logical-plan metadata — the whole plan's
+    if known (a read, materialized blocks), else the sum over its leaves.
+    ``Dataset.size_bytes()`` would execute the plan in the second case."""
+    dag = ds._logical_plan.dag
+    size = dag.infer_metadata().size_bytes
+    if size is not None:
+        return size
+    total, stack, seen = 0, [dag], set()
+    while stack:
+        op = stack.pop()
+        if id(op) in seen:
+            continue
+        seen.add(id(op))
+        if op.input_dependencies:
+            stack.extend(op.input_dependencies)
+        else:
+            total += op.infer_metadata().size_bytes or 0
+    return total
 
 
 def arrow_type_of(t) -> pa.DataType:

@@ -235,3 +235,135 @@ def test_backfill_join_split_phases_equal_one_shot(ray_session, token_dirs,
         assert s["part_steps_computed"] == 0
         assert s["partitions_written"] == []
         assert s["left_partitions_written"] == []
+
+
+# ------------------------------------------- one co-partitioned plan per step
+
+
+@pytest.fixture(scope="module")
+def small_dirs(ray_session, tmp_path_factory):
+    """Events and a left table with null keys and duplicate (key, ts)
+    rows, each left row numbered so duplicates stay apart."""
+    import pyarrow.compute as pc
+
+    from chronon_ray.testing.tokengen import gen_events, gen_queries
+
+    base = tmp_path_factory.mktemp("bfj_small")
+    ev = gen_events(3000, n_keys=40, seed=31, span_days=8)
+    q = gen_queries(500, ev, n_keys=40, seed=32)
+    n = len(q)
+    null_key = pa.array(np.arange(n) % 7 == 0)
+    q = q.set_column(0, "doc_id",
+                     pc.if_else(null_key, pa.scalar(None, pa.string()),
+                                q["doc_id"]))
+    q = pa.concat_tables([q, q.slice(0, n // 3)])  # duplicate (key, ts)
+    q = q.append_column("row", pa.array(np.arange(len(q)), pa.int64()))
+    wp(ev, str(base / "events"))
+    wp(q, str(base / "queries"))
+    return {"events_dir": str(base / "events"),
+            "left_dir": str(base / "queries")}
+
+
+def _small_conf(dirs):
+    ev = EventSource(table=dirs["events_dir"])
+    parts = [GroupByConf(name=n, sources=(ev,), key_columns=("doc_id",),
+                         aggregations=(a,))
+             for n, a in (("sum7d", agg("n_tok", "sum", [window(7, "d")])),
+                          ("cnt1d", agg("n_tok", "count", [window(1, "d")])),
+                          ("src7d", agg("source", "last",
+                                        [window(7, "d")])))]
+    return JoinConf(name="bfj_small", left=EventSource(table=dirs["left_dir"]),
+                    parts=tuple(JoinPart(group_by=g) for g in parts))
+
+
+def _read_out(base, days):
+    import ray.data as rd
+
+    files = [os.path.join(base, f"ds={d}", f) for d in days
+             for f in sorted(os.listdir(os.path.join(base, f"ds={d}")))
+             if f.endswith(".parquet")]
+    out = rd.read_parquet(files).to_pandas() \
+        .drop(columns=["ds"], errors="ignore")
+    return out.sort_values("row" if "row" in out else ["doc_id", "ts"]) \
+        .reset_index(drop=True)
+
+
+def test_backfill_join_null_and_duplicate_left_rows_match_compute_join(
+        small_dirs, tmp_path):
+    from dataclasses import replace
+
+    from chronon_ray.pipelines.joins import compute_join
+    from chronon_ray.sources import list_partitions
+
+    jc = _small_conf(small_dirs)
+    days = list_partitions(small_dirs["left_dir"])[-4:]
+    out = str(tmp_path / "out")
+    s = backfill_join(jc, out, days[0], days[-1], step_days=3,
+                      num_partitions=4)
+    assert sorted(s["partitions_written"]) == days
+    got = _read_out(out, days)
+    q = replace(jc.left.query or TQuery(), start_partition=days[0],
+                end_partition=days[-1])
+    exp = compute_join(replace(jc, left=replace(jc.left, query=q)),
+                       num_partitions=4).to_pandas() \
+        .drop(columns=["ds"], errors="ignore") \
+        .sort_values("row").reset_index(drop=True)
+    assert got["doc_id"].isna().any()
+    assert got.duplicated(["doc_id", "ts"]).any()
+    # each part cache holds one row per distinct (key, ts), null key included
+    n_distinct = len(got.drop_duplicates(["doc_id", "ts"]))
+    for part in jc.parts:
+        cache = _read_out(os.path.join(out, "parts", part.full_prefix), days)
+        assert len(cache) == n_distinct, part.full_prefix
+        assert not cache.duplicated(["doc_id", "ts"]).any()
+    assert list(got.columns) == list(exp.columns)
+    assert len(got) == len(exp)
+    for c in got.columns:
+        a, b = got[c], exp[c]
+        assert (a.isna() == b.isna()).all(), c
+        keep = ~a.isna()
+        if a.dtype.kind in "fiu":
+            np.testing.assert_allclose(a[keep].astype(float),
+                                       b[keep].astype(float), err_msg=c)
+        else:
+            assert (a[keep] == b[keep]).all(), c
+
+
+def test_backfill_join_writes_only_missing_targets(small_dirs, tmp_path):
+    """One output day and another day of one part cache are missing: one
+    step computes that part, attaches the other parts from their caches,
+    and writes exactly those two days."""
+    from chronon_ray.sources import list_partitions
+
+    jc = _small_conf(small_dirs)
+    days = list_partitions(small_dirs["left_dir"])[-3:]
+    out = str(tmp_path / "out")
+    backfill_join(jc, out, days[0], days[-1], num_partitions=4)
+    before = _read_out(out, days)
+
+    def manifests():
+        found = {}
+        for root, _, files in os.walk(out):
+            if "_MANIFEST.json" in files:
+                f = os.path.join(root, "_MANIFEST.json")
+                found[os.path.relpath(root, out)] = os.stat(f).st_mtime_ns
+        return found
+
+    shutil.rmtree(os.path.join(out, f"ds={days[1]}"))
+    shutil.rmtree(os.path.join(out, "parts", "cnt1d", f"ds={days[2]}"))
+    kept = manifests()
+    s = backfill_join(jc, out, days[0], days[-1], num_partitions=4)
+    assert s["partitions_written"] == [days[1]]
+    assert s["left_partitions_written"] == []
+    assert s["part_steps_computed"] == 1
+    assert {p: v["steps"] for p, v in s["parts"].items()} == {
+        "sum7d": 0, "cnt1d": 1, "src7d": 0}
+    now = manifests()
+    assert sorted(set(now) - set(kept)) == sorted(
+        [f"ds={days[1]}", os.path.join("parts", "cnt1d", f"ds={days[2]}")])
+    assert all(now[k] == v for k, v in kept.items())
+    after = _read_out(out, days)
+    pd.testing.assert_frame_equal(after, before)
+    again = backfill_join(jc, out, days[0], days[-1], num_partitions=4)
+    assert again["part_steps_computed"] == 0
+    assert again["partitions_written"] == []

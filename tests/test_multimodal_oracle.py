@@ -169,3 +169,37 @@ def test_randomized_formula_differential(seed):
         sel = vid[fi].reshape(-1)
         assert out["vid_sum"][i].as_py() == int(sel.sum())
         assert out["vid_sumsq"][i].as_py() == int((sel * sel).sum())
+
+
+def _compressed_media(fmt: str, payloads: list) -> pa.Table:
+    from chronon_ray.functions.multimodal import MEDIA_META_TYPE
+
+    modality = "audio" if fmt == "mp3" else "video"
+    meta = [{"modality": modality, "format": fmt, "width": 8, "height": 8,
+             "sample_rate": 16000, "fps": 25.0, "n_bytes": len(p)}
+            for p in payloads]
+    return pa.table({"payload": pa.array(payloads, pa.binary()),
+                     "meta": pa.array(meta, MEDIA_META_TYPE)})
+
+
+@pytest.mark.parametrize("fmt", ["mp3", "mp4"])
+def test_compressed_av_disposition(fmt):
+    """mp3/mp4 have no decoder: fake=False raises, fake=True is a
+    deterministic function of the payload bytes."""
+    from chronon_ray.functions.multimodal import (AudioFrameStage,
+                                                  VideoFrameSampleStage)
+
+    def stage(fake):
+        return AudioFrameStage(n_frames=8, fake=fake) if fmt == "mp3" \
+            else VideoFrameSampleStage(k_frames=2, out_h=4, out_w=4,
+                                       fake=fake)
+
+    a, b = b"\x49\x44\x33" + bytes(range(40)), b"\x00\x00\x00\x18ftyp"
+    with pytest.raises(NotImplementedError, match=fmt):
+        stage(False)(_compressed_media(fmt, [a]))
+    out = stage(True)(_compressed_media(fmt, [a, b, a]))
+    again = stage(True)(_compressed_media(fmt, [a]))
+    col = out.column_names[-1]
+    rows = out[col].to_pylist()
+    assert rows[0] == rows[2] == again[col].to_pylist()[0]
+    assert rows[0] != rows[1]

@@ -4,9 +4,10 @@ Every public pipeline function declares the schema of the Dataset it
 returns (``util.dataset_schema``), so a backfill step executes a plan only
 to write data:
 
-1. a 3-part, 1-step ``backfill_join`` executes exactly its 5 writes, and an
-   incremental roll day executes only its 2 writes (counted with a Ray Data
-   execution callback);
+1. a ``backfill_join`` step of 3 or 5 parts runs one exchange, then only
+   its writes; an incremental roll day executes only its 2 writes; sizing
+   an exchange executes nothing (counted with a Ray Data execution
+   callback);
 2. the declared schema equals the executed one, for non-empty and zero-row
    inputs alike, and ``write_partitioned`` raises on a wrong one;
 3. no UDF the engine passes to ``map_batches``/``map_groups`` captures a
@@ -50,19 +51,22 @@ def tables(ray_session, tmp_path_factory):
             "days": list_partitions(str(base / "queries"))}
 
 
-def _parts(events_dir):
+def _parts(events_dir, n=3):
     src = EventSource(table=events_dir)
     return [GroupByConf(name=n, sources=(src,), key_columns=("doc_id",),
                         aggregations=(a,))
             for n, a in (("sum7d", agg("n_tok", "sum", [window(7, "d")])),
                          ("cnt1d", agg("n_tok", "count", [window(1, "d")])),
-                         ("src7d", agg("source", "last", [window(7, "d")])))]
+                         ("src7d", agg("source", "last", [window(7, "d")])),
+                         ("max3d", agg("n_tok", "max", [window(3, "d")])),
+                         ("uniq7d", agg("source", "unique_count",
+                                        [window(7, "d")])))[:n]]
 
 
-def _join_conf(t):
+def _join_conf(t, n_parts=3):
     return JoinConf(name="ps", left=EventSource(table=t["queries"]),
                     parts=tuple(JoinPart(group_by=g)
-                                for g in _parts(t["events"])))
+                                for g in _parts(t["events"], n_parts)))
 
 
 INC_CONF = GroupByConf(
@@ -73,13 +77,17 @@ INC_CONF = GroupByConf(
 
 
 class _CountExecutions:
-    """Ray Data execution callback that counts plan executions. Datasets
-    deep-copy their DataContext (and its callbacks): the copy must stay
-    this object. Tasks receive the context pickled, where the callback is
-    never called (and this test module is not importable)."""
+    """Ray Data execution callback that counts plan executions and keeps,
+    for each finished one, (exchange operators, has a write operator).
+    Operators are classified by type and name as the benchmark's per-layer
+    stats classify them. Datasets deep-copy their DataContext (and its
+    callbacks): the copy must stay this object. Tasks receive the context
+    pickled, where the callback is never called (and this test module is
+    not importable)."""
 
     def __init__(self):
         self.n = 0
+        self.kinds = []
 
     def __deepcopy__(self, memo):
         return self
@@ -94,7 +102,12 @@ class _CountExecutions:
         pass
 
     def after_execution_succeeds(self, executor):
-        pass
+        ops = [op for op in executor._topology
+               if type(op).__name__ != "InputDataBuffer"]
+        self.kinds.append((
+            sum(1 for op in ops if "AllToAll" in type(op).__name__
+                or "HashShuffle" in type(op).__name__),
+            any("Write" in op.name for op in ops)))
 
     def after_execution_fails(self, executor, error):
         pass
@@ -139,22 +152,61 @@ def _assert_step_wall_covers_write(root):
 # ------------------------------------------------------- executions per step
 
 
-def test_backfill_join_step_executes_only_its_writes(tables, tmp_path):
+def _check_step_executions(tables, tmp_path, n_parts):
     from chronon_ray.pipelines.backfill import backfill_join
 
-    jc = _join_conf(tables)
+    jc = _join_conf(tables, n_parts)
     start, end = tables["days"][-3], tables["days"][-1]
     out = str(tmp_path / "join")
     with count_executions() as cb:
-        s = backfill_join(jc, out, start, end, step_days=7, num_partitions=4)
+        # steps [d-3, d-2] and [d-1]
+        s = backfill_join(jc, out, start, end, step_days=2, num_partitions=4)
     assert len(s["partitions_written"]) == 3
-    # left cache write + 3 part writes + the final write
-    assert cb.n == 5
+    assert s["part_steps_computed"] == 2 * n_parts
+    # per step: one execution runs the step's only exchange, then the
+    # left cache, the n part caches and the output are written from its
+    # blocks — exchange-free writes
+    assert cb.n == len(cb.kinds) == 2 * (1 + n_parts + 2)
+    computes = [k for k in cb.kinds if not k[1]]
+    writes = [k for k in cb.kinds if k[1]]
+    assert computes == [(1, False)] * 2
+    assert writes == [(0, True)] * (2 * (n_parts + 2))
     with count_executions() as cb:
-        again = backfill_join(jc, out, start, end, step_days=7,
+        again = backfill_join(jc, out, start, end, step_days=2,
                               num_partitions=4)
     assert again["partitions_written"] == [] and cb.n == 0
     _assert_step_wall_covers_write(out)
+
+
+def test_backfill_join_step_executes_only_its_writes(tables, tmp_path):
+    _check_step_executions(tables, tmp_path, 3)
+
+
+def test_backfill_join_five_part_step_runs_one_exchange(tables, tmp_path):
+    _check_step_executions(tables, tmp_path, 5)
+
+
+def test_auto_partitions_plans_without_executing(tables):
+    from chronon_ray.pipelines.temporal import temporal_join
+    from chronon_ray.pipelines.upload import groupby_upload
+    from chronon_ray.util import auto_partitions, map_typed
+
+    # a Dataset keeps the execution callbacks of the context it was made
+    # in: build the inputs inside the counted block
+    with count_executions() as cb:
+        # typed maps after the reads: Ray knows no size for them
+        events = map_typed(_events(tables, False), lambda t: t)
+        queries = map_typed(_scan(tables, "queries", False), lambda t: t)
+        n = auto_partitions(events, queries)
+        groupby_upload(events, INC_CONF, _batch_end(tables),
+                       num_partitions=None, full_hops=True)
+        temporal_join(queries, events, _parts(tables["events"])[0],
+                      num_partitions=None)
+    assert cb.n == 0
+    # sized from the read leaves: the floor of 2 per CPU at this scale
+    import ray
+
+    assert n == 2 * int(ray.cluster_resources()["CPU"])
 
 
 def test_incremental_roll_day_executes_only_its_writes(tables, tmp_path):
