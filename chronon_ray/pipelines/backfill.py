@@ -29,6 +29,7 @@ from ..sources import list_partitions, read_parquet as _read_parquet, scan_table
 from ..state.lineage import archive_mismatched, completed_partitions, write_partitioned
 from ..state.partitions import PartitionRange, shift_ds, unfilled_ranges
 from ..util import map_typed
+from .join_step import FIRST
 
 MILLIS_DAY = 86_400_000
 
@@ -72,6 +73,7 @@ def backfill_temporal_join(
 
     Returns a summary dict {steps, partitions_written, skipped, metrics}.
     """
+    from ..api import TQuery
     from .temporal import temporal_join
 
     config_hash = conf.semantic_hash()
@@ -89,9 +91,6 @@ def backfill_temporal_join(
     w_days = max_window_days(conf)
     for step in steps:
         t0 = time.perf_counter()
-        from ..api import TQuery
-        from dataclasses import replace as _rep
-
         left = scan_table(left_table, TQuery(start_partition=step.start,
                                              end_partition=step.end))
         right_start = None if w_days is None else shift_ds(step.start, -w_days)
@@ -185,6 +184,32 @@ def _part_hash(jc, part) -> str:
     return hashlib.md5(repr((part, jc.left)).encode()).hexdigest()[:16]
 
 
+class _StepRows:
+    """The rows a ``backfill_join`` target keeps of its step's kernel
+    output: with ``first_only`` one per (keys, ts), in ``columns``
+    (default: all but the ``FIRST`` flag), then ``derive``d."""
+
+    def __init__(self, columns: Optional[Sequence[str]] = None,
+                 first_only: bool = False, derive=None):
+        self.columns = list(columns) if columns else None
+        self.first_only = first_only
+        self.derive = derive
+
+    def __call__(self, t):
+        if self.first_only:
+            t = t.filter(t[FIRST])
+        t = t.select(self.columns) if self.columns \
+            else t.drop_columns([FIRST])
+        return self.derive(t) if self.derive is not None else t
+
+    def schema(self, step_schema):
+        """The schema of these rows, or None when a derivation may type
+        them by their values."""
+        if self.derive is not None and not self.derive.typed:
+            return None
+        return self(step_schema.empty_table()).schema
+
+
 def backfill_join(
     jc,
     out_dir: str,
@@ -212,11 +237,11 @@ def backfill_join(
     the cached rows of every other part the output needs are hashed on the
     left keys together; per partition the distinct (keys, ts) queries get
     each computed part's features, cached parts attach by (keys, ts), and
-    the features fan back onto every left row. The step's blocks are
-    materialized once, then the left cache, each computed part's cache and
-    the derived output are written from them — each target only its
-    missing days. A re-run recomputes
-    nothing that is complete; a config change on one part invalidates
+    the features fan back onto every left row. The same execution writes
+    the left cache, each computed part's cache and the derived output
+    from the step's own write tasks (``state.lineage.LineageSink``) —
+    each target only its missing days, and no target unless every one
+    passed its footer check. A re-run recomputes nothing that is complete; a config change on one part invalidates
     only that part's cache (semantic hash archive).
 
     ``phase`` mirrors the reference's split-phase orchestration
@@ -248,9 +273,10 @@ def backfill_join(
     from ..sources import list_partitions as _list_parts
     from ..sources import required_columns, scan_source
     from ..state.partitions import collapse_to_ranges
+    from ..state.lineage import Target
     from ..util import dataset_schema, with_schema
-    from .join_step import FIRST, StepPart, join_step
-    from .joins import apply_derivations
+    from .join_step import StepPart, join_step
+    from .joins import Derive
 
     if phase not in ("all", "left", "parts", "final"):
         raise ValueError(f"phase must be all/left/parts/final, got {phase!r}")
@@ -394,19 +420,6 @@ def backfill_join(
                 right.union(s), dataset_schema(right))
         return right
 
-    def _rows(ds, days, columns=None, first_only=False):
-        """The step rows of ``days`` — with ``first_only``, one per
-        (keys, ts) — in ``columns`` (default: all but the flag)."""
-        import pyarrow.compute as pc
-
-        def keep(t: pa.Table, days=tuple(days), cols=columns) -> pa.Table:
-            mask = pc.is_in(t["ds"], value_set=pa.array(days, pa.string()))
-            if first_only:
-                mask = pc.and_(mask, t[FIRST])
-            t = t.filter(mask)
-            return t.select(list(cols)) if cols else t.drop_columns([FIRST])
-        return map_typed(ds, keep)
-
     all_missing = set().union(*missing.values())
     for step in (s for r in collapse_to_ranges(all_missing)
                  for s in r.steps(step_days)):
@@ -427,33 +440,38 @@ def backfill_join(
                     _read_parquet(_partition_files(part_dirs[part],
                                                    out_days)), False))
         ds = join_step(left, part_left_keys or [], sides, num_partitions)
-        # one execution computes the step, every write reads its blocks
-        ds = with_schema(ds.materialize(), dataset_schema(ds))
+        step_schema = dataset_schema(ds)
 
-        def write(rows, target_dir, config_hash):
-            return sorted(write_partitioned(
-                rows, target_dir, config_hash,
-                input_range=(step.start, step.end), step_start=t0))
+        def target(key):
+            if key == "left":
+                where, chash = left_dir, left_hash
+                rows = _StepRows(dataset_schema(left).names)
+            elif key == "out":
+                where, chash = out_dir, out_hash
+                rows = _StepRows(derive=Derive(jc.derivations)
+                                 if jc.derivations else None)
+            else:
+                where, chash = part_dirs[key], _part_hash(jc, key)
+                feats = [f"{key.full_prefix}_{p.output_name}"
+                         for p in key.group_by.parts()]
+                rows = _StepRows([*part_left_keys, "ts", *feats, "ds"],
+                                 first_only=True)
+            return Target(where, chash, (step.start, step.end),
+                          days=tuple(todo[key]), rows=rows,
+                          schema=rows.schema(step_schema))
 
-        if "left" in todo:
-            summary["left_partitions_written"].extend(write(
-                _rows(ds, todo["left"], dataset_schema(left).names),
-                left_dir, left_hash))
-        for part in jc.parts:
-            if part not in todo:
-                continue
-            feats = [f"{part.full_prefix}_{p.output_name}"
-                     for p in part.group_by.parts()]
-            write(_rows(ds, todo[part],
-                        [*part_left_keys, "ts", *feats, "ds"],
-                        first_only=True),
-                  part_dirs[part], _part_hash(jc, part))
-            summary["parts"][part.full_prefix]["steps"] += 1
-            summary["part_steps_computed"] += 1
-        if out_days:
-            summary["partitions_written"].extend(write(
-                apply_derivations(_rows(ds, out_days), jc.derivations),
-                out_dir, out_hash))
+        # one execution computes the step and writes every target — each
+        # only its missing days — from the step's own write tasks
+        written = write_partitioned(ds, [target(k) for k in todo],
+                                    step_start=t0)
+        for key, manifests in zip(todo, written):
+            if key == "left":
+                summary["left_partitions_written"].extend(sorted(manifests))
+            elif key == "out":
+                summary["partitions_written"].extend(sorted(manifests))
+            else:
+                summary["parts"][key.full_prefix]["steps"] += 1
+                summary["part_steps_computed"] += 1
     return summary
 
 
@@ -491,6 +509,8 @@ def backfill_incremental(
 
     from ..api import EventSource, TQuery
     from ..sources import required_columns
+    from ..state.lineage import Target
+    from ..util import dataset_schema
     from .upload import groupby_upload, roll_checkpoint, serve_with_events
 
     if serve_mode not in ("events", "tiles"):
@@ -545,30 +565,13 @@ def backfill_incremental(
                                 num_partitions=num_partitions,
                                 full_hops=True)
             how = "bootstrapped"
-        tmp = _ck_dir(ds) + f".tmp.{os.getpid()}"
-        ck.write_parquet(tmp)
-        if not os.path.isdir(tmp) or not any(
-                f.endswith(".parquet") for f in os.listdir(tmp)):
-            # ZERO-ROW checkpoint (bootstrap/roll window holds no events
-            # — e.g. a backfill starting before the first event day):
-            # write_parquet creates nothing, so persist the typed empty
-            # state explicitly; reads and next-day rolls then see the
-            # normal checkpoint schema
-            import pyarrow.parquet as _pq
-
-            from ..util import dataset_schema
-
-            os.makedirs(tmp, exist_ok=True)
-            _pq.write_table(dataset_schema(ck).empty_table(),
-                            os.path.join(tmp, "part-0.parquet"))
-        with open(os.path.join(tmp, "_MANIFEST.json"), "w") as f:
-            json.dump({"config_hash": config_hash, "batch_end_ts": end_ms},
-                      f)
-        if os.path.exists(_ck_dir(ds)):
-            import shutil
-
-            shutil.rmtree(_ck_dir(ds))
-        os.rename(tmp, _ck_dir(ds))
+        # a zero-row checkpoint (the window holds no events, e.g. a
+        # backfill starting before the first event day) is written as the
+        # declared empty table: reads and next-day rolls then see the
+        # normal checkpoint schema
+        write_partitioned(ck, [Target(
+            checkpoint_dir, config_hash, metrics={"batch_end_ts": end_ms},
+            day=ds, schema=dataset_schema(ck))])
         return _read_parquet(_ck_dir(ds)), how
 
     os.makedirs(checkpoint_dir, exist_ok=True)

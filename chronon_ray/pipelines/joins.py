@@ -36,20 +36,18 @@ MILLIS_DAY = 86_400_000
 DEFAULT_NUM_PARTITIONS = 64
 
 
-def apply_derivations(ds: ray.data.Dataset, derivations: Sequence[tuple],
-                      base_columns: Optional[Sequence[str]] = None) -> ray.data.Dataset:
-    """Post-agg projection (reference derivationProjection, Extensions.scala:
-    1069-1120): entries are (out_name, expr) with expr ∈ {"*" passthrough,
-    source column name, callable(batch)->Array}.
+class Derive:
+    """The derivation projection as a table function (see
+    ``apply_derivations``); ``typed`` when no expr is a callable, so its
+    output types do not depend on the rows."""
 
-    The output schema is declared only when no expr is a callable: a
-    user callable's output type may depend on its rows."""
-    if not derivations:
-        return ds
+    def __init__(self, derivations: Sequence[tuple]):
+        self.derivations = tuple(derivations)
+        self.typed = all(isinstance(e, str) for _n, e in self.derivations)
 
-    def derive(batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: pa.Table) -> pa.Table:
         out: dict[str, pa.Array] = {}
-        for name, expr in derivations:
+        for name, expr in self.derivations:
             if name == "*" or expr == "*":
                 for c in batch.column_names:
                     out.setdefault(c, batch[c])
@@ -62,7 +60,19 @@ def apply_derivations(ds: ray.data.Dataset, derivations: Sequence[tuple],
                 out[name] = arr
         return pa.table(out)
 
-    if all(isinstance(e, str) for _n, e in derivations):
+
+def apply_derivations(ds: ray.data.Dataset, derivations: Sequence[tuple],
+                      base_columns: Optional[Sequence[str]] = None) -> ray.data.Dataset:
+    """Post-agg projection (reference derivationProjection, Extensions.scala:
+    1069-1120): entries are (out_name, expr) with expr ∈ {"*" passthrough,
+    source column name, callable(batch)->Array}.
+
+    The output schema is declared only when no expr is a callable: a
+    user callable's output type may depend on its rows."""
+    if not derivations:
+        return ds
+    derive = Derive(derivations)
+    if derive.typed:
         return map_typed(ds, derive)
     return ds.map_batches(derive, batch_format="pyarrow")
 

@@ -1015,7 +1015,7 @@ def temporal_join(
     daily: bool = False,
     hot_keys=None,
     salt_shards: Optional[int] = None,
-    broadcast_left_keys: bool = False,
+    broadcast_left_keys: Optional[str] = None,
     exact_windows: bool = False,
 ) -> ray.data.Dataset:
     """left (key, ts, ...) ⟕ windowed aggregates of right events, PITC.
@@ -1038,7 +1038,14 @@ def temporal_join(
     instead of the reference's sawtooth (hop-rounded tail) semantics —
     prefix/slice families are exact via raw-ts searchsorted, the rest via a
     per-event TwoStack sweep (TwoStackLiteAggregator at event granularity).
-    Strictly more work than sawtooth; incompatible with daily accuracy."""
+    Strictly more work than sawtooth; incompatible with daily accuracy.
+
+    ``broadcast_left_keys="bloom"`` drops, before the exchange, the events
+    whose key a bloom filter of the left keys rules out; None ships every
+    event."""
+    if broadcast_left_keys not in (None, "bloom"):
+        raise ValueError("broadcast_left_keys must be None or 'bloom', got "
+                         f"{broadcast_left_keys!r}")
     keys = list(conf.key_columns)
     parts = conf.parts()
     from ..util import dataset_schema, with_schema
@@ -1069,40 +1076,6 @@ def temporal_join(
         right_ds = _bloom_filter_events(
             left_ds, right_ds, keys,
             {k: left_schema.field(k).type for k in keys})
-    elif broadcast_left_keys:
-        # small-left mode: the left key set is broadcast and events of other
-        # keys never enter the shuffle (reference small-mode semi-join —
-        # spark/TableUtils.scala:296-305). The left pipeline is executed an
-        # extra time to collect the keys — only opt in when the left is
-        # genuinely small.
-        import ray as _ray
-
-        key_pdf = left_ds.map_batches(
-            lambda t: t.select(keys), batch_format="pyarrow").to_pandas()
-        key_pdf = key_pdf.drop_duplicates()
-        key_ref = _ray.put(key_pdf)
-
-        class _KeyFilter:
-            def __init__(self):
-                self._set = None
-
-            def __call__(self, t: pa.Table) -> pa.Table:
-                if self._set is None:
-                    kp = _ray.get(key_ref)
-                    if len(keys) == 1:
-                        self._set = pa.array(kp[keys[0]].unique())
-                    else:
-                        self._set = set(map(tuple, kp.itertuples(index=False)))
-                if len(keys) == 1:
-                    return t.filter(pc.is_in(t[keys[0]],
-                                             value_set=self._set.cast(
-                                                 t[keys[0]].type)))
-                rows = t.select(keys).to_pandas()
-                mask = [tuple(r) in self._set
-                        for r in rows.itertuples(index=False)]
-                return t.filter(pa.array(mask))
-
-        right_ds = right_ds.map_batches(_KeyFilter(), batch_format="pyarrow")
 
     if hot_keys == "auto":
         from .salting import detect_hot_keys

@@ -367,3 +367,36 @@ def test_backfill_join_writes_only_missing_targets(small_dirs, tmp_path):
     again = backfill_join(jc, out, days[0], days[-1], num_partitions=4)
     assert again["part_steps_computed"] == 0
     assert again["partitions_written"] == []
+
+
+@pytest.mark.parametrize("typed", [True, False], ids=["columns", "callable"])
+def test_backfill_join_derivations_match_compute_join(small_dirs, tmp_path,
+                                                      typed):
+    """The output target applies the join's derivations in the step's
+    write tasks: declared (column-only) and value-typed (a callable)
+    derivations alike give compute_join's output."""
+    from dataclasses import replace
+
+    from chronon_ray.expr import sql_expr
+    from chronon_ray.pipelines.joins import compute_join
+    from chronon_ray.sources import list_partitions
+
+    derivations = (("*", "*"), ("sum_again", "sum7d_n_tok_sum_7d"))
+    if not typed:
+        derivations += (("twice", sql_expr("sum7d_n_tok_sum_7d * 2")),)
+    jc = replace(_small_conf(small_dirs), derivations=derivations)
+    days = list_partitions(small_dirs["left_dir"])[-2:]
+    out = str(tmp_path / "out")
+    s = backfill_join(jc, out, days[0], days[-1], num_partitions=4)
+    assert sorted(s["partitions_written"]) == days
+    got = _read_out(out, days)
+    q = replace(jc.left.query or TQuery(), start_partition=days[0],
+                end_partition=days[-1])
+    exp = compute_join(replace(jc, left=replace(jc.left, query=q)),
+                       num_partitions=4).to_pandas() \
+        .drop(columns=["ds"], errors="ignore") \
+        .sort_values("row").reset_index(drop=True)
+    assert "sum_again" in got and ("twice" in got) == (not typed)
+    assert sorted(got.columns) == sorted(exp.columns)
+    pd.testing.assert_frame_equal(got, exp[list(got.columns)],
+                                  check_dtype=False)

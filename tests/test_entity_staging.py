@@ -1,4 +1,4 @@
-"""Entity snapshot join, broadcast small-left filter, StagingQuery."""
+"""Entity snapshot join, StagingQuery."""
 
 import os
 
@@ -8,9 +8,8 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
-from chronon_ray.api import GroupByConf, TQuery, agg, window
+from chronon_ray.api import TQuery
 from chronon_ray.pipelines.joins import entity_snapshot_join
-from chronon_ray.pipelines.temporal import temporal_join
 from chronon_ray.sources import scan_table
 from chronon_ray.staging import render_macros, run_staging_query
 from chronon_ray.testing.tokengen import ensure_fixture
@@ -44,28 +43,6 @@ def test_entity_snapshot_join(ray_session, duck, sf_dir):
     nan = np.isnan(g) & np.isnan(w)
     assert (np.isnan(g) == np.isnan(w)).all()
     np.testing.assert_allclose(g[~nan], w[~nan], rtol=1e-9)
-
-
-def test_broadcast_left_keys(ray_session, sf_dir):
-    """Small-left mode must produce identical features to the plain path."""
-    ev = scan_table(f"{sf_dir}/events.parquet", TQuery(time_column="ts"))
-    left_tbl = ev.limit(500).to_pandas()[["user_id", "ts"]].drop_duplicates()
-    left_tbl = left_tbl[left_tbl["user_id"] < 5]
-    conf = GroupByConf(name="s", sources=(), key_columns=("user_id",),
-                       aggregations=(agg("value", "sum", [window(7, "d")]),))
-    l1 = rd.from_pandas(left_tbl)
-    plain = temporal_join(l1, ev, conf, num_partitions=8).to_pandas()
-    l2 = rd.from_pandas(left_tbl)
-    ev2 = scan_table(f"{sf_dir}/events.parquet", TQuery(time_column="ts"))
-    small = temporal_join(l2, ev2, conf, num_partitions=8,
-                          broadcast_left_keys=True).to_pandas()
-    sp = plain.sort_values(["user_id", "ts"]).reset_index(drop=True)
-    ss = small.sort_values(["user_id", "ts"]).reset_index(drop=True)
-    assert len(sp) == len(ss)
-    a, b = sp["value_sum_7d"], ss["value_sum_7d"]
-    na, nb = a.isna().to_numpy(), b.isna().to_numpy()
-    assert (na == nb).all()
-    np.testing.assert_allclose(a[~na], b[~nb], rtol=1e-12)
 
 
 def test_staging_query(ray_session, tmp_path):

@@ -4,14 +4,16 @@ Every public pipeline function declares the schema of the Dataset it
 returns (``util.dataset_schema``), so a backfill step executes a plan only
 to write data:
 
-1. a ``backfill_join`` step of 3 or 5 parts runs one exchange, then only
-   its writes; an incremental roll day executes only its 2 writes; sizing
-   an exchange executes nothing (counted with a Ray Data execution
-   callback);
+1. a ``backfill_join`` step of 3 or 5 parts is one execution: one
+   exchange whose write tasks write every target; an incremental roll day
+   executes only its 2 writes; sizing an exchange executes nothing
+   (counted with a Ray Data execution callback);
 2. the declared schema equals the executed one, for non-empty and zero-row
-   inputs alike, and ``write_partitioned`` raises on a wrong one;
-3. no UDF the engine passes to ``map_batches``/``map_groups`` captures a
-   driver-side Dataset;
+   inputs alike, and ``write_partitioned`` raises on a wrong one — for a
+   step, before any target is written; only files a write task returned
+   reach a partition;
+3. no UDF the engine passes to ``map_batches``/``map_groups`` and no sink
+   it passes to ``write_datasink`` captures a driver-side Dataset;
 4. GroupBy source scans read only the columns the aggregation needs, and a
    requested column the table lacks raises on empty and non-empty ranges;
 5. a final-only join run over a partial part cache raises and writes
@@ -19,6 +21,7 @@ to write data:
 """
 
 import contextlib
+import dataclasses
 import glob
 import inspect
 import json
@@ -163,14 +166,11 @@ def _check_step_executions(tables, tmp_path, n_parts):
         s = backfill_join(jc, out, start, end, step_days=2, num_partitions=4)
     assert len(s["partitions_written"]) == 3
     assert s["part_steps_computed"] == 2 * n_parts
-    # per step: one execution runs the step's only exchange, then the
-    # left cache, the n part caches and the output are written from its
-    # blocks — exchange-free writes
-    assert cb.n == len(cb.kinds) == 2 * (1 + n_parts + 2)
-    computes = [k for k in cb.kinds if not k[1]]
-    writes = [k for k in cb.kinds if k[1]]
-    assert computes == [(1, False)] * 2
-    assert writes == [(0, True)] * (2 * (n_parts + 2))
+    # per step: one execution runs the step's only exchange and writes
+    # the left cache, the n part caches and the output from its own
+    # write tasks
+    assert cb.n == len(cb.kinds) == 2
+    assert cb.kinds == [(1, True)] * 2
     with count_executions() as cb:
         again = backfill_join(jc, out, start, end, step_days=2,
                               num_partitions=4)
@@ -347,14 +347,70 @@ def test_write_rejects_a_wrong_declared_schema(tables, tmp_path):
     assert write_partitioned(with_schema(ds, good), out, "h")
 
 
+def test_step_with_one_wrong_target_schema_writes_no_target(tables, tmp_path,
+                                                            monkeypatch):
+    from chronon_ray.pipelines import backfill
+    from chronon_ray.state import lineage
+
+    def bad_part_schema(data, out_dir, *args, **kwargs):
+        # targets: the left cache, then the 3 part caches, then the output
+        targets = list(out_dir)
+        sch = targets[2].schema
+        targets[2] = dataclasses.replace(targets[2], schema=pa.schema(
+            [pa.field(f.name, pa.float64()) if f.name == "ts" else f
+             for f in sch]))
+        return lineage.write_partitioned(data, targets, *args, **kwargs)
+
+    monkeypatch.setattr(backfill, "write_partitioned", bad_part_schema)
+    out = str(tmp_path / "j")
+    days = tables["days"][-2:]
+    with pytest.raises(ValueError, match="declared"):
+        backfill.backfill_join(_join_conf(tables), out, days[0], days[1],
+                               num_partitions=4)
+    assert [f for f, _ in _manifests(out)] == []
+    assert glob.glob(os.path.join(out, "**", "_tmp.*"), recursive=True) == []
+
+
+def test_write_moves_only_returned_files(tables, tmp_path, monkeypatch):
+    from chronon_ray.state.lineage import LineageSink, write_partitioned
+
+    ds = _scan(tables, "queries", False)
+    stray = pq.read_table(os.path.join(tables["queries"],
+                                       f"ds={tables['days'][-1]}"))
+    start = LineageSink.on_write_start
+
+    def plant(self):
+        # a file a failed attempt could have left: a valid schema, but no
+        # task returned it
+        start(self)
+        for d in self.tmp_dirs:
+            for day in tables["days"][-2:]:
+                os.makedirs(os.path.join(d, f"ds={day}"), exist_ok=True)
+                pq.write_table(stray, os.path.join(d, f"ds={day}",
+                                                   "stray.parquet"))
+
+    monkeypatch.setattr(LineageSink, "on_write_start", plant)
+    out = str(tmp_path / "w")
+    manifests = write_partitioned(ds, out, "h")
+    assert sorted(manifests) == tables["days"][-2:]
+    assert glob.glob(os.path.join(out, "**", "stray.parquet"),
+                     recursive=True) == []
+    assert sum(m["rows"] for m in manifests.values()) == ds.count()
+    for day, m in manifests.items():
+        assert pq.read_table(os.path.join(out, f"ds={day}")).num_rows \
+            == m["rows"]
+    assert not [d for d in os.listdir(out) if d.startswith("_tmp")]
+
+
 # ------------------------------------------------- no Dataset in a worker UDF
 
 
 def _datasets_in(obj, depth=0, seen=None):
-    """Datasets reachable from a UDF: closure cells, defaults, bound
-    ``self`` and callable-class attributes, a few levels deep."""
+    """Datasets reachable from a UDF or a sink: closure cells, defaults,
+    bound ``self``, callable-class, sink and dataclass attributes, a few
+    levels deep."""
     seen = set() if seen is None else seen
-    if id(obj) in seen or depth > 4:
+    if id(obj) in seen or depth > 6:
         return []
     seen.add(id(obj))
     if isinstance(obj, ray.data.Dataset):
@@ -370,7 +426,8 @@ def _datasets_in(obj, depth=0, seen=None):
         vals += list((obj.__kwdefaults__ or {}).values())
     elif inspect.ismethod(obj):
         vals = [obj.__self__, obj.__func__]
-    elif callable(obj) and hasattr(obj, "__dict__") \
+    elif (callable(obj) or isinstance(obj, ray.data.Datasink)
+          or dataclasses.is_dataclass(obj)) and hasattr(obj, "__dict__") \
             and not isinstance(obj, type):
         vals = list(vars(obj).values())
     else:
@@ -413,6 +470,8 @@ def test_pipeline_udfs_capture_no_dataset(tables, tmp_path, monkeypatch):
                         checked(ray.data.Dataset.map_batches))
     monkeypatch.setattr(GroupedData, "map_groups",
                         checked(GroupedData.map_groups))
+    monkeypatch.setattr(ray.data.Dataset, "write_datasink",
+                        checked(ray.data.Dataset.write_datasink))
     start, end = tables["days"][-2], tables["days"][-1]
     backfill_join(_join_conf(tables), str(tmp_path / "j"), start, end,
                   num_partitions=4)
@@ -439,6 +498,18 @@ def test_capture_check_sees_a_captured_dataset(ray_session):
 
     assert _datasets_in(udf) and _datasets_in(Udf())
     assert _datasets_in(lambda t: (ds, t))
+
+    from chronon_ray.state.lineage import LineageSink, Target
+
+    class Rows:
+        def __init__(self):
+            self.d = ds
+
+        def __call__(self, t):
+            return t
+
+    assert not _datasets_in(LineageSink([Target("o", rows=lambda t: t)]))
+    assert _datasets_in(LineageSink([Target("o", rows=Rows())]))
 
 
 # ---------------------------------------------------- read projections
