@@ -116,8 +116,8 @@ def _cmd_backfill(args: argparse.Namespace) -> dict:
             summary = backfill_incremental(
                 args.left_table, args.right_table, conf, args.out,
                 args.checkpoint_dir, args.start, args.end,
-                num_partitions=args.num_partitions,
-                serve_mode=args.serve_mode)
+                step_days=args.step_days,
+                num_partitions=args.num_partitions)
         elif args.mode in ("auto", "temporal"):
             if not (args.left_table and args.right_table):
                 raise SystemExit("a GroupByConf backfill needs --left-table "
@@ -520,10 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--source-table", help="event table (snapshot mode)")
     b.add_argument("--checkpoint-dir", help="rolling FinalBatchIr "
                    "checkpoint dir (incremental mode)")
-    b.add_argument("--serve-mode", default="events",
-                   choices=("events", "tiles"),
-                   help="incremental-mode daily serve: raw event replay "
-                        "or tiled lambda fetch (pipelines/streaming.py)")
     b.add_argument("--step-days", type=int, default=30)
     b.add_argument("--num-partitions", type=int, default=64)
     b.add_argument("--phase", default="all",

@@ -485,6 +485,7 @@ def backfill_incremental(
     end: str,
     num_partitions: int = 64,
     serve_mode: str = "events",
+    step_days: int = 30,
 ) -> dict:
     """Day-by-day incremental backfill via rolling FinalBatchIr
     checkpoints: day D's features = serve(checkpoint@D, day-D events) and
@@ -493,29 +494,35 @@ def backfill_incremental(
     events instead of the whole window history — the O(1-day) daily
     backfill (reference upload semantics: GroupByUpload.scala:65-105).
 
-    ``serve_mode="tiles"`` serves each day through the tiled lambda fetch
-    (pipelines/streaming.py — the Flink/TileCodec analog): the day's
-    events pre-aggregate into per-key tile IRs and only each query's own
-    tile replays raw. Output is bit-equal to the default event-replay
-    serve (tested); at a realistic fan-in the per-day raw replay shrinks
-    from O(day of events × queries sharing a key) to O(one tile).
+    A run is a maximal stretch of consecutive days whose output is
+    missing, sliced to ``step_days``. Each slice is ONE co-partitioned
+    plan (``incremental.roll_serve_run``, one exchange): its base
+    checkpoint — ck@first when complete (``"cached"``), else ck@first−1
+    (``"rolled"``), else none (``"bootstrapped"`` from a max-window
+    scan) — its events and its left rows are hashed on the keys
+    together, and per partition the kernel rolls every day's checkpoint
+    in memory and serves that day's left rows from it. The same
+    execution writes every missing checkpoint day and every output day
+    through the lineage sink, all or nothing. Days without a left
+    partition (``no_left``) still advance and write the checkpoint chain.
 
     Checkpoints persist as parquet under ``checkpoint_dir/ds=<D>`` with a
-    config-hash manifest; output days under ``out_dir`` via the same
-    atomic lineage writes as the other drivers. Resume: completed output
-    days are skipped, and the newest usable checkpoint is rolled forward
-    instead of re-bootstrapping."""
+    config-hash manifest carrying ``batch_end_ts``; output days under
+    ``out_dir`` with ``checkpoint`` (how ck@D was obtained) in their
+    manifests. Resume: completed output days are skipped, a complete
+    checkpoint is read instead of recomputed, and a slice with nothing to
+    write executes nothing. ``serve_mode`` is kept for callers that pass
+    it: ``"events"`` (the event-replay serve) is its only value."""
     import json
 
     from ..api import EventSource, TQuery
     from ..sources import required_columns
     from ..state.lineage import Target
-    from ..util import dataset_schema
-    from .upload import groupby_upload, roll_checkpoint, serve_with_events
+    from ..state.partitions import collapse_to_ranges
+    from .incremental import CheckpointRows, OutputRows, roll_serve_run
 
-    if serve_mode not in ("events", "tiles"):
-        raise ValueError(f"serve_mode must be 'events' or 'tiles', "
-                         f"got {serve_mode!r}")
+    if serve_mode != "events":
+        raise ValueError(f"serve_mode must be 'events', got {serve_mode!r}")
 
     config_hash = conf.semantic_hash()
     archived = archive_mismatched(out_dir, config_hash)
@@ -540,85 +547,67 @@ def backfill_incremental(
 
     ev_cols = required_columns(
         EventSource(table=right_table, query=TQuery(time_column="ts")), conf)
-
-    def _events_range(lo_ds: str, hi_ds: str):
-        return scan_table(right_table, TQuery(start_partition=lo_ds,
-                                              end_partition=hi_ds,
-                                              time_column="ts"),
-                          columns=ev_cols)
-
-    def _ensure_checkpoint(ds: str):
-        """Checkpoint AT midnight of `ds` (covers events < ds)."""
-        if _ck_ok(ds):
-            return _read_parquet(_ck_dir(ds)), "cached"
-        prev = shift_ds(ds, -1)
-        end_ms = _midnight_ms(ds)
-        if _ck_ok(prev):
-            old = _read_parquet(_ck_dir(prev))
-            ck = roll_checkpoint(old, _events_range(prev, prev), conf,
-                                 end_ms - 86_400_000, end_ms,
-                                 num_partitions=num_partitions)
-            how = "rolled"
-        else:
-            lo = shift_ds(ds, -w_days)
-            ck = groupby_upload(_events_range(lo, prev), conf, end_ms,
-                                num_partitions=num_partitions,
-                                full_hops=True)
-            how = "bootstrapped"
-        # a zero-row checkpoint (the window holds no events, e.g. a
-        # backfill starting before the first event day) is written as the
-        # declared empty table: reads and next-day rolls then see the
-        # normal checkpoint schema
-        write_partitioned(ck, [Target(
-            checkpoint_dir, config_hash, metrics={"batch_end_ts": end_ms},
-            day=ds, schema=dataset_schema(ck))])
-        return _read_parquet(_ck_dir(ds)), how
+    if ev_cols is not None and list_partitions(right_table):
+        # the kernel assigns events to days by their ds partition
+        ev_cols = sorted({*ev_cols, "ds"})
 
     os.makedirs(checkpoint_dir, exist_ok=True)
     summary = {"days": len(days), "partitions_written": [], "archived":
-               archived, "skipped": [], "no_left": [], "checkpoints": {},
-               "metrics": {}}
+               archived, "skipped": [d for d in days if d in done],
+               "no_left": [], "checkpoints": {}, "metrics": {}}
     # calendar days with no LEFT partition have nothing to serve — but the
     # checkpoint chain must still advance through them (it consumes the
     # EVENT side day by day), or the next served day would re-bootstrap a
     # full max-window scan instead of an O(1-day) roll
     left_days = set(list_partitions(left_table))
-    for ds in days:
-        if ds in done:
-            summary["skipped"].append(ds)
-            continue
-        if left_days and ds not in left_days:
-            ck, how = _ensure_checkpoint(ds)
-            summary["checkpoints"][ds] = how
-            summary["no_left"].append(ds)
-            continue
+    todo = [d for d in days if d not in done]
+    for step in (s for r in collapse_to_ranges(todo)
+                 for s in r.steps(step_days)):
         t0 = time.perf_counter()
-        ck, how = _ensure_checkpoint(ds)
-        summary["checkpoints"][ds] = how
-        end_ms = _midnight_ms(ds)
-        left = scan_table(left_table, TQuery(start_partition=ds,
-                                             end_partition=ds,
-                                             time_column="ts"))
-        head = _events_range(ds, ds)
-        if serve_mode == "tiles":
-            from .streaming import make_tiles, serve_with_tiles
-
-            tiles = make_tiles(head, conf, end_ms,
-                               num_partitions=num_partitions)
-            out = serve_with_tiles(ck, tiles, head, left, conf, end_ms,
-                                   num_partitions=num_partitions,
-                                   full_hops=True)
+        run = step.partitions()
+        first, prev = run[0], shift_ds(run[0], -1)
+        if _ck_ok(first):
+            how, base, lo = "cached", _read_parquet(_ck_dir(first)), first
+        elif _ck_ok(prev):
+            how, base, lo = "rolled", _read_parquet(_ck_dir(prev)), prev
         else:
-            out = serve_with_events(ck, head, left, conf, end_ms,
-                                    num_partitions=num_partitions,
-                                    full_hops=True)
-        manifests = write_partitioned(
-            out, out_dir, config_hash, input_range=(ds, ds),
-            metrics={"checkpoint": how}, step_start=t0)
-        summary["partitions_written"].extend(sorted(manifests))
-        summary["metrics"][ds] = {
-            "wall_sec": round(time.perf_counter() - t0, 3),
-            "rows": sum(m["rows"] for m in manifests.values()),
-            "checkpoint": how,
-        }
+            how, base, lo = "bootstrapped", None, shift_ds(first, -w_days)
+        hows = {d: "cached" if _ck_ok(d) else "rolled" for d in run[1:]}
+        hows[first] = how
+        ck_days = [d for d in run if hows[d] != "cached"]
+        served = [d for d in run if not left_days or d in left_days]
+        for d in run:
+            summary["checkpoints"][d] = hows[d]
+            if d not in served:
+                summary["no_left"].append(d)
+        if not ck_days and not served:
+            continue
+        left = scan_table(left_table, TQuery(start_partition=first,
+                                             end_partition=run[-1],
+                                             time_column="ts"))
+        events = scan_table(right_table, TQuery(start_partition=lo,
+                                                end_partition=run[-1],
+                                                time_column="ts"),
+                            columns=ev_cols)
+        ds, out_schema, ck_schema = roll_serve_run(
+            left, events, base, conf, run, how, ck_days, num_partitions)
+        # one execution rolls, serves and writes every missing checkpoint
+        # day and every output day of the slice
+        targets = [Target(checkpoint_dir, config_hash,
+                          metrics={"batch_end_ts": _midnight_ms(d)}, day=d,
+                          rows=CheckpointRows(d, ck_schema.names),
+                          schema=ck_schema) for d in ck_days]
+        targets += [Target(out_dir, config_hash, (d, d),
+                           metrics={"checkpoint": hows[d]}, days=(d,),
+                           rows=OutputRows(out_schema.names),
+                           schema=out_schema) for d in served]
+        written = write_partitioned(ds, targets, step_start=t0)
+        wall = round(time.perf_counter() - t0, 3)
+        for d, manifests in zip(served, written[len(ck_days):]):
+            summary["partitions_written"].extend(sorted(manifests))
+            summary["metrics"][d] = {
+                "wall_sec": wall,
+                "rows": sum(m["rows"] for m in manifests.values()),
+                "checkpoint": hows[d],
+            }
     return summary

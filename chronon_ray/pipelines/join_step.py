@@ -64,7 +64,8 @@ def _physical(i: int, name: str) -> str:
 
 
 class _TagAlignStep:
-    """Tag one side of a join step: keep and rename its columns, cast the
+    """Tag one side of a join step (or of an incremental run,
+    ``pipelines/incremental.py``): keep and rename its columns, cast the
     shared key and ts columns to the left's types, drop null-key events
     (reference removeNulls, GroupBy.scala:181 — null-key left rows stay
     and get null features) and add the partition id and side tag."""

@@ -45,6 +45,7 @@ import ray.data
 from ..aggregators.ops import OPS
 from ..aggregators.row import BoundPart, RowAggregator
 from ..api import AggregationPart, GroupByConf, Operation
+from ..util import drop_null_key_rows
 from ..windowing.resolution import round_ts, tail_hop_millis
 from .groupby import _factorize_keys, canon_key_hash
 from .mutations import TAIL_BUFFER_MS
@@ -182,74 +183,78 @@ def _py_irs_from_frame(bp: BoundPart, subf: pd.DataFrame):
     return out
 
 
-def empty_checkpoint_table(conf: GroupByConf, events_schema: pa.Schema,
-                           full_hops: bool = True) -> pa.Table:
-    """Zero-row table with the exact schema :func:`groupby_upload` emits —
-    the persisted representation of "no events before this boundary"
-    (e.g. an incremental-backfill bootstrap window that predates the
-    first event day; found by the round-5 fresh-seed chaos sweep).
-    ``ir_frame_to_arrow`` types every IR column from its declared Arrow
-    field, so this schema is identical to a real checkpoint's."""
-    keys = list(conf.key_columns)
-    parts, synth, _out, schema = _prepare_parts(conf, events_schema)
-    agg = RowAggregator(parts, schema)
-    windowed = [bp for bp in agg.bound if not bp.part.window.unbounded]
-    irf = agg.partial_frame(schema.empty_table(),
-                            np.array([], dtype=np.int64), 0)
-    key_arrays = {k: pa.array([], type=schema.field(k).type) for k in keys}
-    out = agg.ir_frame_to_arrow(irf, key_arrays)
-    for bp in windowed:
-        out = out.append_column(f"{bp.name}__tailhops",
-                                pa.array([], type=pa.binary()))
-    out = out.append_column("_batch_end_ts", pa.array([], type=pa.int64()))
-    return out.append_column("_full_hops", pa.array([], type=pa.bool_()))
+class CheckpointAgg:
+    """The conf-bound kernels of a FinalBatchIr checkpoint, shared by
+    :func:`groupby_upload`, :func:`roll_checkpoint` and the incremental
+    run kernel (``pipelines/incremental.py``):
 
+    - ``partials``: events → IR rows, one per key of the batch;
+    - ``merge``: IR rows (partials and/or checkpoint rows, several per
+      key) → one checkpoint row per key at a batch end.
 
-def groupby_upload(
-    events: ray.data.Dataset,
-    conf: GroupByConf,
-    batch_end_ts: int,
-    num_partitions: Optional[int] = None,
-    full_hops: bool = False,
-) -> ray.data.Dataset:
-    """events (keys + ts + inputs) → one FinalBatchIr row per key (see
-    module docstring). Only events with ``ts < batch_end_ts`` contribute.
+    ``key_types`` types the key columns of every row they emit (default:
+    the events' key types)."""
 
-    ``full_hops=True`` switches to the rolling layout: windowed parts keep
-    their ENTIRE window as per-hop IRs (the HopsAggregator pattern —
-    reference aggregator/windowing/HopsAggregator.scala) instead of
-    collapsed + 2-day tail. Bigger rows (W/hop IRs per part), but the
-    checkpoint can then be advanced day by day with ``roll_checkpoint``
-    forever — no serving-horizon limit."""
-    from ..util import auto_partitions, dataset_schema, with_schema
+    def __init__(self, conf: GroupByConf, events_schema: pa.Schema,
+                 key_types: Optional[dict] = None):
+        self.keys = list(conf.key_columns)
+        self.parts, self.synth, self.out_names, self.schema = \
+            _prepare_parts(conf, events_schema)
+        self.agg = RowAggregator(self.parts, self.schema)
+        self.windowed = [bp for bp in self.agg.bound
+                         if not bp.part.window.unbounded]
+        # windowed parts keep their own IRs (tail hops and, collapsed,
+        # the region before the tail): the whole-batch IRs are the
+        # unbounded parts'
+        self.unbounded = RowAggregator(
+            [bp.part for bp in self.agg.bound if bp.part.window.unbounded],
+            self.schema)
+        # single-part aggregators for the per-part masked re-partials:
+        # the full agg.partial_frame would recompute EVERY part's IRs per
+        # windowed part (O(parts^2) work) just to keep one part's columns
+        self.one_agg = {bp.name: RowAggregator([bp.part], self.schema)
+                        for bp in self.windowed}
+        self.key_types = key_types or {k: self.schema.field(k).type
+                                       for k in self.keys}
 
-    keys = list(conf.key_columns)
-    in_schema = dataset_schema(events)
-    parts, synth, _out_names, schema = _prepare_parts(conf, in_schema)
-    if num_partitions is None:
-        num_partitions = auto_partitions(events)
-    if synth:
-        events = events.map_batches(_add_bucket_maps(synth),
-                                    batch_format="pyarrow")
-    agg = RowAggregator(parts, schema)
-    windowed = [bp for bp in agg.bound if not bp.part.window.unbounded]
-    # single-part aggregators for the per-part masked re-partials below:
-    # the full agg.partial_frame would recompute EVERY part's IRs per
-    # windowed part (O(parts^2) work) just to keep one part's columns
-    one_agg = {bp.name: RowAggregator([bp.part], schema) for bp in windowed}
+    def _ir_cols(self, bp: BoundPart) -> list[str]:
+        agg = self.agg
+        return agg._map_cols(bp) if bp.is_map \
+            else [f"{bp.name}__{c}" for c in agg._ircs(bp)]
 
-    def partials(tbl: pa.Table) -> pa.Table:
+    def empty(self) -> pa.Table:
+        """The zero-row checkpoint table (see
+        :func:`empty_checkpoint_table`)."""
+        agg = self.agg
+        irf = agg.partial_frame(self.schema.empty_table(),
+                                np.array([], dtype=np.int64), 0)
+        out = agg.ir_frame_to_arrow(irf, {
+            k: pa.array([], type=self.key_types[k]) for k in self.keys})
+        for bp in self.windowed:
+            out = out.append_column(f"{bp.name}__tailhops",
+                                    pa.array([], type=pa.binary()))
+        out = out.append_column("_batch_end_ts",
+                                pa.array([], type=pa.int64()))
+        return out.append_column("_full_hops", pa.array([], type=pa.bool_()))
+
+    def partials(self, tbl: pa.Table, batch_end_ts: int,
+                 full_hops: bool) -> pa.Table:
+        """IR rows of the events of ``tbl`` with ``ts < batch_end_ts``:
+        the key columns, every IR column and one pickled tail-hop dict
+        per windowed part. Null-key events are dropped (reference
+        removeNulls, GroupBy.scala:181)."""
+        keys, agg = self.keys, self.agg
+        tbl = drop_null_key_rows(tbl, keys)
         tbl = tbl.filter(pc.less(pc.cast(tbl["ts"], pa.int64()),
                                  batch_end_ts))
         kdf = tbl.select(keys).to_pandas()
         codes, uniq = _factorize_keys(kdf, keys)
-        irf = agg.partial_frame(tbl, codes, len(uniq))
+        irf = self.unbounded.partial_frame(tbl, codes, len(uniq)) \
+            .set_index("g")
         ts_row = tbl["ts"].to_numpy(zero_copy_only=False).astype(np.int64)
-        irf = irf.set_index("g")
-        for bp in windowed:
+        for bp in self.windowed:
             p, name = bp.part, bp.name
-            ircs = agg._map_cols(bp) if bp.is_map \
-                else [f"{name}__{c}" for c in agg._ircs(bp)]
+            ircs = self._ir_cols(bp)
             W = p.window.millis
             hop = tail_hop_millis(p.window)
             wstart = round_ts(batch_end_ts - W, hop)
@@ -258,77 +263,79 @@ def groupby_upload(
             rel = ts_row >= wstart
             coll = rel & (ts_row >= cut)
             tail = rel & ~coll
-            # overwrite this part's full-range IR with the collapsed region
+            # this part's IR holds its collapsed region only
             for irc in ircs:
                 irf[irc] = None
             if coll.any():
                 sub = tbl.filter(pa.array(coll))
-                subf = one_agg[name].partial_frame(
+                subf = self.one_agg[name].partial_frame(
                     sub, codes[coll], len(uniq)).set_index("g")
                 for irc in ircs:
                     irf.loc[subf.index, irc] = subf[irc]
-            tail_col = pd.Series([None] * len(irf), index=irf.index,
-                                 dtype=object)
+            blobs: dict[int, bytes] = {}
             if tail.any():
                 hs = round_ts(ts_row[tail], hop)
                 gt = codes[tail]
                 pairs = np.stack([gt, hs], axis=1)
                 puniq, pcodes = np.unique(pairs, axis=0, return_inverse=True)
                 sub = tbl.filter(pa.array(tail))
-                subf = one_agg[name].partial_frame(sub, pcodes, len(puniq))
+                subf = self.one_agg[name].partial_frame(sub, pcodes,
+                                                        len(puniq))
                 per_g: dict[int, dict] = {}
                 for gcode, pir in _py_irs_from_frame(bp, subf):
                     gg, hopstart = puniq[gcode]
                     per_g.setdefault(int(gg), {})[int(hopstart)] = pir
-                for gg, d in per_g.items():
-                    tail_col.loc[gg] = pickle.dumps(d)
-            irf[f"{name}__tailhops"] = tail_col
+                blobs = {gg: pickle.dumps(d) for gg, d in per_g.items()}
+            irf[f"{name}__tailhops"] = pd.Series(
+                [blobs.get(g) for g in irf.index], index=irf.index,
+                dtype=object)
         irf = irf.reset_index()
         sel = irf["g"].to_numpy()
-        key_arrays = {
+        out = agg.ir_frame_to_arrow(irf, {
             k: pa.array(uniq[k].to_numpy(dtype=object)[sel],
-                        type=tbl.schema.field(k).type)
-            for k in keys
-        }
-        # hash the canonical Arrow representation — a batch whose key col
-        # picked up nulls converts to float64 in pandas and would hash
-        # the SAME key differently from an all-valid batch
-        part = canon_key_hash(
-            pa.table({k: key_arrays[k] for k in keys}), keys,
-            {k: schema.field(k).type for k in keys}, num_partitions)
-        key_arrays["_part"] = pa.array(part)
-        out = agg.ir_frame_to_arrow(irf, key_arrays)
-        for bp in windowed:
+                        type=self.key_types[k])
+            for k in keys})
+        for bp in self.windowed:
             col = f"{bp.name}__tailhops"
-            out = out.append_column(col,
-                                    pa.array(irf[col].tolist(),
-                                             type=pa.binary()))
+            out = out.append_column(col, pa.array(irf[col].tolist(),
+                                                  type=pa.binary()))
         return out
 
-    partials.__name__ = "upload_partials"
-    shuffled = events.map_batches(partials, batch_format="pyarrow")
-
-    def merge_part(pdf: pd.DataFrame) -> pa.Table:
+    def merge(self, pdf: pd.DataFrame, batch_end_ts: int,
+              full_hops: bool) -> pa.Table:
+        """One checkpoint row per key of ``pdf`` (IR rows, several per
+        key) at ``batch_end_ts``: IR columns merged, tail hops merged per
+        hop start, hops that slid out of a part's window dropped."""
+        keys, agg = self.keys, self.agg
+        if not len(pdf):
+            return self.empty()
         codes, kdf = _factorize_keys(pdf, keys)
         irf = agg.ir_frame_from_pandas(pdf)
         irf = irf.drop(columns=[c for c in (*keys, "_part") if c in irf],
                        errors="ignore")
         irf["g"] = codes
-        # reindex to every present key: in full-hops mode a key's whole
-        # windowed state lives in the tail hops and its collapsed IR
-        # columns are all null — merge_frame alone would drop the row
-        merged = agg.merge_frame(irf).set_index("g") \
-            .reindex(np.unique(codes)).sort_index()
-        # merge pickled tail dicts per key per part
+        # full hops: a windowed part's whole state lives in its tail hops
+        # and its collapsed IR columns are all null
+        m_agg = self.unbounded if full_hops else agg
+        merged = m_agg.merge_frame(irf).set_index("g") if m_agg.bound \
+            else pd.DataFrame(index=pd.Index([], name="g"))
+        # reindex to every present key: merge_frame drops a key whose
+        # merged IR columns are all null
+        merged = merged.reindex(np.unique(codes)).sort_index()
+        if full_hops:
+            for bp in self.windowed:
+                for c in self._ir_cols(bp):
+                    merged[c] = None
         tails_out: dict[str, list] = {}
-        for bp in windowed:
+        for bp in self.windowed:
             p = bp.part
             col = f"{bp.name}__tailhops"
             wop = _py_op(bp)
-            acc: dict[int, dict] = {}
-            vals = pdf[col].to_numpy()
             floor = round_ts(batch_end_ts - p.window.millis,
                              tail_hop_millis(p.window))
+            acc: dict[int, dict] = {}
+            vals = pdf[col].to_numpy() if col in pdf.columns \
+                else np.full(len(pdf), None, dtype=object)
             for i, c in enumerate(codes):
                 b = vals[i]
                 if b is None or (isinstance(b, float) and np.isnan(b)):
@@ -346,7 +353,7 @@ def groupby_upload(
             ]
         key_arrays = {
             k: pa.array(kdf[k].to_numpy(dtype=object)[merged.index],
-                        type=schema.field(k).type)
+                        type=self.key_types[k])
             for k in keys
         }
         out = agg.ir_frame_to_arrow(merged.reset_index(), key_arrays)
@@ -358,11 +365,65 @@ def groupby_upload(
         return out.append_column(
             "_full_hops", pa.array(np.full(len(out), full_hops)))
 
+
+def empty_checkpoint_table(conf: GroupByConf, events_schema: pa.Schema,
+                           full_hops: bool = True) -> pa.Table:
+    """Zero-row table with the exact schema :func:`groupby_upload` emits —
+    the persisted representation of "no events before this boundary"
+    (e.g. an incremental-backfill bootstrap window that predates the
+    first event day; found by the round-5 fresh-seed chaos sweep).
+    ``ir_frame_to_arrow`` types every IR column from its declared Arrow
+    field, so this schema is identical to a real checkpoint's."""
+    return CheckpointAgg(conf, events_schema).empty()
+
+
+def _with_part(t: pa.Table, kern: CheckpointAgg,
+               num_partitions: int) -> pa.Table:
+    """``t`` with the hash partition of its (canonicalized) keys."""
+    part = canon_key_hash(t.select(kern.keys), kern.keys, kern.key_types,
+                          num_partitions)
+    return t.append_column("_part", pa.array(part))
+
+
+def groupby_upload(
+    events: ray.data.Dataset,
+    conf: GroupByConf,
+    batch_end_ts: int,
+    num_partitions: Optional[int] = None,
+    full_hops: bool = False,
+) -> ray.data.Dataset:
+    """events (keys + ts + inputs) → one FinalBatchIr row per key (see
+    module docstring). Only events with ``ts < batch_end_ts`` and no null
+    key contribute.
+
+    ``full_hops=True`` switches to the rolling layout: windowed parts keep
+    their ENTIRE window as per-hop IRs (the HopsAggregator pattern —
+    reference aggregator/windowing/HopsAggregator.scala) instead of
+    collapsed + 2-day tail. Bigger rows (W/hop IRs per part), but the
+    checkpoint can then be advanced day by day with ``roll_checkpoint``
+    forever — no serving-horizon limit."""
+    from ..util import auto_partitions, dataset_schema, with_schema
+
+    kern = CheckpointAgg(conf, dataset_schema(events))
+    if num_partitions is None:
+        num_partitions = auto_partitions(events)
+    if kern.synth:
+        events = events.map_batches(_add_bucket_maps(kern.synth),
+                                    batch_format="pyarrow")
+
+    def partials(tbl: pa.Table) -> pa.Table:
+        return _with_part(kern.partials(tbl, batch_end_ts, full_hops), kern,
+                          num_partitions)
+
+    def merge_part(pdf: pd.DataFrame) -> pa.Table:
+        return kern.merge(pdf, batch_end_ts, full_hops)
+
+    partials.__name__ = "upload_partials"
     merge_part.__name__ = "upload_merge"
     return with_schema(
-        shuffled.groupby("_part").map_groups(merge_part,
-                                             batch_format="pandas"),
-        empty_checkpoint_table(conf, in_schema).schema)
+        events.map_batches(partials, batch_format="pyarrow")
+        .groupby("_part").map_groups(merge_part, batch_format="pandas"),
+        kern.empty().schema)
 
 
 class _ServePartition:
@@ -454,12 +515,13 @@ class _ServePartition:
                 f"auto-detect")
         return self.full_hops
 
-    def _check_horizon(self, queries: pd.DataFrame,
-                       fh: Optional[bool]) -> None:
+    def _check_horizon(self, queries: pd.DataFrame, fh: Optional[bool],
+                       batch_end: Optional[int] = None) -> None:
+        batch_end = self.batch_end if batch_end is None else batch_end
         qts_all = queries["ts"].astype(np.int64)
-        if (qts_all < self.batch_end).any() or (
+        if (qts_all < batch_end).any() or (
                 fh is False
-                and (qts_all >= self.batch_end + TAIL_BUFFER_MS).any()):
+                and (qts_all >= batch_end + TAIL_BUFFER_MS).any()):
             raise ValueError(
                 "serve queries must lie in [batch_end_ts, "
                 "batch_end_ts + tail buffer) — outside that horizon the "
@@ -467,24 +529,27 @@ class _ServePartition:
                 "groupby_upload at a later batch_end_ts)")
 
     def _load_checkpoint(self, irs: pd.DataFrame):
-        base_by_key: dict[tuple, dict] = {}
-        tails_by_key: dict[tuple, dict] = {}
-        if len(irs):
-            # rebuild composite IR columns (items __o/__p pairs, hist maps)
-            # that the Arrow round-trip splits
-            irs = self.agg.ir_frame_from_pandas(irs)
-        for _, row in irs.iterrows():
-            kv = tuple(row[k] for k in self.keys)
-            base_by_key[kv] = {bp.name: _py_ir_from_prefixed(bp, row)
-                               for bp in self.bound}
-            td = {}
-            for bp in self.bound:
-                b = row.get(f"{bp.name}__tailhops")
-                if b is not None and not (isinstance(b, float)
-                                          and np.isnan(b)):
-                    td[bp.name] = pickle.loads(b)
-            tails_by_key[kv] = td
-        return base_by_key, tails_by_key
+        """``({key tuple: {part: py IR}}, {key tuple: {part: tail-hop
+        dict}})`` of checkpoint rows, read column by column."""
+        if not len(irs):
+            return {}, {}
+        # rebuild composite IR columns (items __o/__p pairs, hist maps)
+        # that the Arrow round-trip splits
+        irs = self.agg.ir_frame_from_pandas(irs).reset_index(drop=True)
+        kvs = list(zip(*(irs[k].tolist() for k in self.keys)))
+        base: list[dict] = [{} for _ in kvs]
+        tails: list[dict] = [{} for _ in kvs]
+        irs["g"] = np.arange(len(irs))
+        for bp in self.bound:
+            for g, ir in _py_irs_from_frame(bp, irs):
+                base[g][bp.name] = ir
+            col = f"{bp.name}__tailhops"
+            if col in irs.columns:
+                for g, b in enumerate(irs[col].to_numpy()):
+                    if b is not None and not (isinstance(b, float)
+                                              and np.isnan(b)):
+                        tails[g][bp.name] = pickle.loads(b)
+        return dict(zip(kvs, base)), dict(zip(kvs, tails))
 
     def _group_events(self, heads: pd.DataFrame) -> dict:
         """ts-sorted per-key event frames with declared INTEGER input
@@ -493,7 +558,8 @@ class _ServePartition:
         with the checkpoint's "5"."""
         head_by_key: dict[tuple, pd.DataFrame] = {}
         if len(heads):
-            heads = heads.copy()
+            # one stable sort: every group keeps the ts order
+            heads = heads.sort_values("ts", kind="stable")
             for c in {bp.part.input_column for bp in self.bound}:
                 if c in heads.columns and c in self.in_schema.names \
                         and pa.types.is_integer(self.in_schema.field(c).type):
@@ -501,7 +567,7 @@ class _ServePartition:
             for kv, grp in heads.groupby(self.keys, sort=False,
                                          dropna=False):
                 kv = kv if isinstance(kv, tuple) else (kv,)
-                head_by_key[kv] = grp.sort_values("ts", kind="stable")
+                head_by_key[kv] = grp
         return head_by_key
 
     def __call__(self, pdf: pd.DataFrame) -> pa.Table:
@@ -509,23 +575,32 @@ class _ServePartition:
         irs = pdf[pdf["_kind"] == 0]
         heads = pdf[pdf["_kind"] == 1]
         queries = pdf[pdf["_kind"] == 2]
-        out_cols: dict[str, list] = {c: [] for c in self.left_cols}
-        feats: dict[str, list] = {f.name: [] for f in self.out_fields}
         if len(queries) == 0:
             return self._empty_out()
         fh = self._resolve_layout(pdf, irs)
-        self._check_horizon(queries, fh)
-        base_by_key, tails_by_key = self._load_checkpoint(irs)
-        head_by_key = self._group_events(heads)
+        return self.serve(self._load_checkpoint(irs),
+                          self._group_events(heads), queries,
+                          self.batch_end, fh)
 
+    def serve(self, checkpoint: tuple, head_by_key: dict,
+              queries: pd.DataFrame, batch_end: int,
+              fh: Optional[bool]) -> pa.Table:
+        """Features of ``queries`` (a non-empty left frame) from a loaded
+        checkpoint at ``batch_end`` (``_load_checkpoint``) and the
+        per-key head events (``_group_events``)."""
+        self._check_horizon(queries, fh, batch_end)
+        base_by_key, tails_by_key = checkpoint
+        out_cols: dict[str, list] = {c: [] for c in self.left_cols}
+        feats: dict[str, list] = {f.name: [] for f in self.out_fields}
+        # one stable sort: every group keeps the ts order.
         # dropna=False: null-key query rows must still be emitted (left-
         # outer row preservation — they match nothing, features stay null)
+        queries = queries.sort_values("ts", kind="stable")
         for kv, grp in queries.groupby(self.keys, sort=False, dropna=False):
             kv = kv if isinstance(kv, tuple) else (kv,)
             base = base_by_key.get(kv) or {}
             tails = tails_by_key.get(kv, {})
             hg = head_by_key.get(kv)
-            grp = grp.sort_values("ts", kind="stable")
             qts_arr = grp["ts"].astype(np.int64).to_numpy()
             nq = len(grp)
             hts = hg["ts"].astype(np.int64).to_numpy() if hg is not None \
@@ -569,7 +644,7 @@ class _ServePartition:
                     qtail = round_ts(qts - W, hop)
                     qhop = round_ts(qts, hop)
                     cut = qts + 1 if fh \
-                        else self.batch_end - W + TAIL_BUFFER_MS
+                        else batch_end - W + TAIL_BUFFER_MS
                     acc = base.get(name)
                     for hopstart, hir in ptails:
                         if hopstart >= qtail and hopstart < cut:
@@ -705,6 +780,8 @@ def serve_with_events(
 
     def tag(kind: int, ts_col: Optional[str], keep: list):
         def f(t: pa.Table) -> pa.Table:
+            if kind == 1:  # null-key events never match (removeNulls)
+                t = drop_null_key_rows(t, keys)
             cols = {k: t[k] for k in keys}
             if ts_col is not None:
                 cols["ts"] = pc.cast(t[ts_col], pa.int64())
@@ -752,39 +829,36 @@ def roll_checkpoint(
     per-key row with the interval's new hop IRs, dropping hops that slid
     out of each part's window. Daily incremental backfill = one roll +
     one serve per day — O(one day of events), never a history rescan.
+    One exchange: the old rows and the interval's partial IRs meet in
+    the same merge.
 
     The checkpoint must have been built with ``full_hops=True`` (a
     collapsed+tail-buffer checkpoint cannot un-collapse hops that the new
     window boundary needs separated)."""
-    import pyarrow.compute as _pc
-
-    from ..util import auto_partitions, dataset_schema, map_typed, with_schema
+    from ..util import auto_partitions, dataset_schema, with_schema
 
     if new_end_ts <= old_end_ts:
         raise ValueError("new_end_ts must be > old_end_ts")
     keys = list(conf.key_columns)
     if num_partitions is None:
         num_partitions = auto_partitions(day_events)
-    ev_schema = dataset_schema(day_events)
-    parts, _synth, _names, d_schema = _prepare_parts(conf, ev_schema)
-
-    def day_cut(t: pa.Table) -> pa.Table:
-        ts = _pc.cast(t["ts"], pa.int64())
-        return t.filter(_pc.and_(_pc.greater_equal(ts, old_end_ts),
-                                 _pc.less(ts, new_end_ts)))
-
-    day_cut.__name__ = "day_cut"
-    day_ir = groupby_upload(map_typed(day_events, day_cut), conf, new_end_ts,
-                            num_partitions=num_partitions, full_hops=True)
-
-    agg = RowAggregator(parts, d_schema)
-    windowed = [bp for bp in agg.bound if not bp.part.window.unbounded]
-
+    # the old checkpoint's key types, the checkpoint layout of the conf
     ir_key_types = {k: dataset_schema(ir_table).field(k).type for k in keys}
+    kern = CheckpointAgg(conf, dataset_schema(day_events), ir_key_types)
+    if kern.synth:
+        day_events = day_events.map_batches(_add_bucket_maps(kern.synth),
+                                            batch_format="pyarrow")
+
+    def day_partials(t: pa.Table) -> pa.Table:
+        ts = pc.cast(t["ts"], pa.int64())
+        t = t.filter(pc.and_(pc.greater_equal(ts, old_end_ts),
+                             pc.less(ts, new_end_ts)))
+        return _with_part(kern.partials(t, new_end_ts, True), kern,
+                          num_partitions)
 
     def strip(t: pa.Table) -> pa.Table:
         if "_full_hops" in t.column_names \
-                and _pc.any(_pc.invert(t["_full_hops"])).as_py():
+                and pc.any(pc.invert(t["_full_hops"])).as_py():
             # rolling a collapsed checkpoint would merge windowed IRs that
             # can never slide out — fail loudly instead of compounding
             # wrong features day over day
@@ -794,75 +868,15 @@ def roll_checkpoint(
                 "collapsed-only")
         drop = [c for c in ("_batch_end_ts", "_full_hops", "_part")
                 if c in t.column_names]
-        t = t.drop(drop)
-        # canonicalize so the old-checkpoint and day-IR branches hash
-        # identical key representations even if their dtypes differ
-        part = canon_key_hash(t.select(keys), keys, ir_key_types,
-                              num_partitions)
-        return t.append_column("_part", pa.array(part))
-
-    strip.__name__ = "strip_ir"
-    unioned = ir_table.map_batches(strip, batch_format="pyarrow") \
-        .union(day_ir.map_batches(strip, batch_format="pyarrow"))
+        return _with_part(t.drop(drop), kern, num_partitions)
 
     def merge_part(pdf: pd.DataFrame) -> pa.Table:
-        codes, kdf = _factorize_keys(pdf, keys)
-        irf = agg.ir_frame_from_pandas(pdf)
-        irf = irf.drop(columns=[c for c in (*keys, "_part") if c in irf],
-                       errors="ignore")
-        irf["g"] = codes
-        # reindex to every present key: in full-hops mode a key's whole
-        # windowed state lives in the tail hops and its collapsed IR
-        # columns are all null — merge_frame alone would drop the row
-        merged = agg.merge_frame(irf).set_index("g") \
-            .reindex(np.unique(codes)).sort_index()
-        tails_out: dict[str, list] = {}
-        for bp in windowed:
-            p = bp.part
-            col = f"{bp.name}__tailhops"
-            wop = _py_op(bp)
-            floor = round_ts(new_end_ts - p.window.millis,
-                             tail_hop_millis(p.window))
-            acc: dict[int, dict] = {}
-            vals = pdf[col].to_numpy() if col in pdf.columns \
-                else np.full(len(pdf), None, dtype=object)
-            for i, c in enumerate(codes):
-                b = vals[i]
-                if b is None or (isinstance(b, float) and np.isnan(b)):
-                    continue
-                slot = acc.setdefault(int(c), {})
-                for hopstart, hir in pickle.loads(b).items():
-                    if hopstart < floor:
-                        continue
-                    prev = slot.get(hopstart)
-                    slot[hopstart] = hir if prev is None \
-                        else wop.py_merge(prev, hir, p)
-            tails_out[col] = [
-                pickle.dumps(acc[g]) if acc.get(g) else None  # {} → None
-                for g in merged.index
-            ]
-        # ir_key_types is captured from the DRIVER-computed schema — a
-        # dataset_schema(ir_table) here would smuggle the driver Dataset
-        # handle into the worker UDF and re-execute a schema pipeline per
-        # group call (and crash outright on a zero-row checkpoint)
-        key_arrays = {
-            k: pa.array(kdf[k].to_numpy(dtype=object)[merged.index],
-                        type=ir_key_types[k])
-            for k in keys
-        }
-        out = agg.ir_frame_to_arrow(merged.reset_index(), key_arrays)
-        for col, vals in tails_out.items():
-            out = out.append_column(col, pa.array(vals, type=pa.binary()))
-        out = out.append_column(
-            "_batch_end_ts",
-            pa.array(np.full(len(out), new_end_ts, dtype=np.int64)))
-        return out.append_column(
-            "_full_hops", pa.array(np.full(len(out), True)))
+        return kern.merge(pdf, new_end_ts, True)
 
+    day_partials.__name__ = "roll_partials"
+    strip.__name__ = "strip_ir"
     merge_part.__name__ = "roll_merge"
-    # the old checkpoint's key types, the checkpoint layout of the conf
-    out_schema = empty_checkpoint_table(conf, pa.schema(
-        [pa.field(f.name, ir_key_types.get(f.name, f.type))
-         for f in ev_schema])).schema
+    unioned = ir_table.map_batches(strip, batch_format="pyarrow").union(
+        day_events.map_batches(day_partials, batch_format="pyarrow"))
     return with_schema(unioned.groupby("_part").map_groups(
-        merge_part, batch_format="pandas"), out_schema)
+        merge_part, batch_format="pandas"), kern.empty().schema)

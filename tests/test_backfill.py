@@ -177,35 +177,3 @@ def test_backfill_incremental_rolls_and_resumes(backfill_env):
     assert s2["partitions_written"] == [victim]
     assert s2["checkpoints"][victim] == "cached"
     assert sorted(s2["skipped"]) == sorted(set(days) - {victim})
-
-
-def test_backfill_incremental_tiles_mode_bit_equal(backfill_env):
-    """serve_mode="tiles" (tiled lambda fetch per day) must write exactly
-    what the default event-replay serve writes."""
-    import ray.data as rd
-
-    from chronon_ray.pipelines.backfill import backfill_incremental
-    from chronon_ray.sources import list_partitions
-
-    left_parts = list_partitions(backfill_env["left"])
-    start, end = left_parts[8], left_parts[10]
-    outs = {}
-    for mode in ("events", "tiles"):
-        out_dir = os.path.join(backfill_env["base"], f"out_inc_{mode}")
-        ck_dir = os.path.join(backfill_env["base"], f"ck_inc_{mode}")
-        backfill_incremental(backfill_env["left"], backfill_env["right"],
-                             _conf(), out_dir, ck_dir, start, end,
-                             num_partitions=4, serve_mode=mode)
-        outs[mode] = rd.read_parquet(out_dir).to_pandas() \
-            .sort_values(["doc_id", "ts"], kind="stable") \
-            .reset_index(drop=True)
-    a, b = outs["events"], outs["tiles"]
-    assert len(a) == len(b) and sorted(a.columns) == sorted(b.columns)
-    for c in a.columns:
-        av, bv = a[c], b[c]
-        if av.dtype.kind == "f":
-            assert (av.isna() == bv.isna()).all(), c
-            np.testing.assert_allclose(av.dropna(), bv.dropna(),
-                                       rtol=1e-9, err_msg=c)
-        else:
-            assert (av.fillna(-1) == bv.fillna(-1)).all(), c

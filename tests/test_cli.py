@@ -131,23 +131,6 @@ def test_dispatch_errors(cli_env, capsys):
     capsys.readouterr()
 
 
-def test_backfill_incremental_tiles_cli(cli_env, capsys):
-    out_dir = os.path.join(cli_env["base"], "inc_tiles_out")
-    ck_dir = os.path.join(cli_env["base"], "inc_tiles_ck")
-    got = _run(["backfill", "--conf", cli_env["gb_conf"], "--out", out_dir,
-                "--start", cli_env["start"], "--end", cli_env["end"],
-                "--left-table", cli_env["left"],
-                "--right-table", cli_env["right"],
-                "--mode", "incremental", "--serve-mode", "tiles",
-                "--checkpoint-dir", ck_dir, "--num-partitions", "4"],
-               capsys)
-    assert got["kind"] == "incremental"
-    assert len(got["partitions_written"]) == 3
-    for d in got["partitions_written"]:
-        assert os.path.exists(os.path.join(out_dir, f"ds={d}",
-                                           "_MANIFEST.json"))
-
-
 def test_fetch_subcommand(cli_env, capsys):
     """fetch: newest rolling checkpoint + in-flight events answer point
     lookups that match the direct temporal join at the same ts."""

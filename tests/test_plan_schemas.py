@@ -4,10 +4,10 @@ Every public pipeline function declares the schema of the Dataset it
 returns (``util.dataset_schema``), so a backfill step executes a plan only
 to write data:
 
-1. a ``backfill_join`` step of 3 or 5 parts is one execution: one
-   exchange whose write tasks write every target; an incremental roll day
-   executes only its 2 writes; sizing an exchange executes nothing
-   (counted with a Ray Data execution callback);
+1. a ``backfill_join`` step of 3 or 5 parts and an incremental run are
+   one execution each: one exchange whose write tasks write every
+   target; sizing an exchange executes nothing (counted with a Ray Data
+   execution callback);
 2. the declared schema equals the executed one, for non-empty and zero-row
    inputs alike, and ``write_partitioned`` raises on a wrong one — for a
    step, before any target is written; only files a write task returned
@@ -26,6 +26,7 @@ import glob
 import inspect
 import json
 import os
+import shutil
 import sys
 
 import pyarrow as pa
@@ -212,22 +213,35 @@ def test_auto_partitions_plans_without_executing(tables):
 def test_incremental_roll_day_executes_only_its_writes(tables, tmp_path):
     from chronon_ray.pipelines.backfill import backfill_incremental
 
-    d0, d1 = tables["days"][-2], tables["days"][-1]
+    d0, d1, d2 = tables["days"][-3:]
     out, ck = str(tmp_path / "out"), str(tmp_path / "ck")
 
     def run(end):
-        return backfill_incremental(tables["queries"], tables["events"],
-                                    INC_CONF, out, ck, d0, end,
-                                    num_partitions=4)
+        with count_executions() as cb:
+            s = backfill_incremental(tables["queries"], tables["events"],
+                                     INC_CONF, out, ck, d0, end,
+                                     num_partitions=4)
+        return s, cb
 
-    with count_executions() as cb:
-        s = run(d0)
-    assert s["checkpoints"] == {d0: "bootstrapped"}
-    assert cb.n == 2  # checkpoint write + output write
-    with count_executions() as cb:
-        s = run(d1)
-    assert s["checkpoints"] == {d1: "rolled"}
-    assert cb.n == 2  # rolled checkpoint write + output write
+    # a fresh 2-day run: one execution runs the run's only exchange and
+    # writes both checkpoints and both output days from its write tasks
+    s, cb = run(d1)
+    assert s["checkpoints"] == {d0: "bootstrapped", d1: "rolled"}
+    assert cb.n == 1 and cb.kinds == [(1, True)]
+    # a 1-day roll
+    s, cb = run(d2)
+    assert s["checkpoints"] == {d2: "rolled"}
+    assert cb.n == 1 and cb.kinds == [(1, True)]
+    # a complete day splits the missing days into two runs
+    for d in (d0, d2):
+        shutil.rmtree(os.path.join(out, f"ds={d}"))
+    s, cb = run(d2)
+    assert sorted(s["partitions_written"]) == [d0, d2]
+    assert s["checkpoints"] == {d0: "cached", d2: "cached"}
+    assert cb.n == 2 and cb.kinds == [(1, True)] * 2
+    # resume
+    s, cb = run(d2)
+    assert s["partitions_written"] == [] and cb.n == 0
     _assert_step_wall_covers_write(out)
 
 
