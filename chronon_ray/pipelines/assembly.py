@@ -18,7 +18,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from .groupby import block_part_hash, stable_key_hash
+from .groupby import block_part_hash
 
 DEFAULT_NUM_PARTITIONS = 200
 
@@ -82,28 +82,23 @@ class _TagPad:
 
 class _MergePartition:
     def __init__(self, keys: Sequence[str], n_src: int, how: str,
-                 fields_by_src: list[list[str]], types: dict[str, pa.DataType],
-                 keys_by_src: Optional[list[list[str]]] = None):
+                 fields_by_src: list[list[str]], types: dict[str, pa.DataType]):
         self.__name__ = type(self).__name__  # ray map_groups wraps fn.__name__
         self.keys = list(keys)
         self.n_src = n_src
         self.how = how
         self.fields_by_src = fields_by_src  # value columns owned by each src
         self.types = types
-        # per-right merge columns (src 0 = left); defaults to `keys`
-        self.keys_by_src = keys_by_src
 
     def __call__(self, pdf: pd.DataFrame) -> pa.Table:
         base = None
         for s in range(self.n_src):
             sub = pdf[pdf["_src"] == s]
-            skeys = self.keys_by_src[s] if self.keys_by_src else self.keys
-            cols = list(skeys) + self.fields_by_src[s]
-            sub = sub[cols].reset_index(drop=True)
+            sub = sub[self.keys + self.fields_by_src[s]].reset_index(drop=True)
             if base is None:
                 base = sub
             else:
-                base = base.merge(sub, on=list(skeys), how=self.how)
+                base = base.merge(sub, on=self.keys, how=self.how)
         out_fields = {c: self.types[c] for c in base.columns if c in self.types}
         return pandas_to_arrow(base, out_fields)
 
@@ -115,16 +110,8 @@ def key_partitioned_join(
     how: str = "outer",
     num_partitions: int = DEFAULT_NUM_PARTITIONS,
     schemas: Optional[list[pa.Schema]] = None,
-    right_keys: Optional[list[Sequence[str]]] = None,
-    hash_keys: Optional[Sequence[str]] = None,
 ) -> ray.data.Dataset:
     """left ⋈ each right on `keys` with a single hash shuffle.
-
-    ``right_keys`` (one entry per right) lets individual rights merge on a
-    different column set (e.g. a SNAPSHOT-accuracy part joins on the
-    day-quantized ``_ts_d`` while TEMPORAL parts join on raw ``ts``); all
-    sources are then hash-partitioned on ``hash_keys`` (default: `keys` —
-    must be common to every source).
 
     Null-key semantics: this is the join-ASSEMBLY primitive (fan per-key
     feature rows back onto left rows), so null keys match null keys —
@@ -136,10 +123,6 @@ def key_partitioned_join(
     from ..util import dataset_schema, with_schema
 
     schemas = schemas or [dataset_schema(d) for d in all_ds]
-    keys_by_src = None
-    if right_keys is not None:
-        keys_by_src = [list(keys), *[list(rk) for rk in right_keys]]
-    part_keys = list(hash_keys) if hash_keys is not None else list(keys)
     union_fields: list[pa.Field] = []
     seen = set()
     for sch in schemas:
@@ -148,25 +131,17 @@ def key_partitioned_join(
                 seen.add(f.name)
                 union_fields.append(f)
     types = {f.name: f.type for f in union_fields}
-    if keys_by_src is None:
-        fields_by_src = [
-            [f.name for f in sch if f.name not in keys] for sch in schemas
-        ]
-    else:
-        fields_by_src = [
-            [f.name for f in sch if f.name not in keys_by_src[i]]
-            for i, sch in enumerate(schemas)
-        ]
+    fields_by_src = [
+        [f.name for f in sch if f.name not in keys] for sch in schemas
+    ]
     tagged = [
-        d.map_batches(_TagPad(i, union_fields, num_partitions, part_keys), batch_format="pyarrow")
+        d.map_batches(_TagPad(i, union_fields, num_partitions, keys), batch_format="pyarrow")
         for i, d in enumerate(all_ds)
     ]
     unioned = tagged[0].union(*tagged[1:])
     # the merge order: the left's keys and fields, then each right's fields
-    out_names = [*(keys_by_src[0] if keys_by_src else keys),
-                 *[c for cols in fields_by_src for c in cols]]
+    out_names = [*keys, *[c for cols in fields_by_src for c in cols]]
     return with_schema(unioned.groupby("_part").map_groups(
-        _MergePartition(keys, len(all_ds), how, fields_by_src, types,
-                        keys_by_src=keys_by_src),
+        _MergePartition(keys, len(all_ds), how, fields_by_src, types),
         batch_format="pandas",
     ), pa.schema([pa.field(c, types[c]) for c in out_names]))

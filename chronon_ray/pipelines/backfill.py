@@ -269,14 +269,14 @@ def backfill_join(
 
     import pyarrow as pa
 
-    from ..api import Accuracy, TQuery
+    from ..api import TQuery
     from ..sources import list_partitions as _list_parts
-    from ..sources import required_columns, scan_source
+    from ..sources import scan_groupby_events, scan_source
     from ..state.partitions import collapse_to_ranges
     from ..state.lineage import Target
-    from ..util import dataset_schema, with_schema
+    from ..util import dataset_schema
     from .join_step import StepPart, join_step
-    from .joins import Derive
+    from .joins import Derive, left_key_columns
 
     if phase not in ("all", "left", "parts", "final"):
         raise ValueError(f"phase must be all/left/parts/final, got {phase!r}")
@@ -331,7 +331,7 @@ def backfill_join(
                                                           left_hash))
 
     part_dirs = {}
-    part_left_keys = None
+    part_left_keys = left_key_columns(jc)
     selected = set(selected_parts) if selected_parts else None
     if selected is not None:
         known = {p.full_prefix for p in jc.parts}
@@ -339,21 +339,7 @@ def backfill_join(
         if unknown:
             raise ValueError(f"unknown join parts {sorted(unknown)} "
                              f"(have {sorted(known)})")
-    for part in jc.parts:
-        gb = part.group_by
-        r2l = part.right_to_left()
-        left_key_cols = [r2l.get(k, k) for k in gb.key_columns]
-        if part_left_keys is None:
-            part_left_keys = left_key_cols
-        elif part_left_keys != left_key_cols:
-            raise NotImplementedError(
-                "backfill_join parts must share one left key set")
-        if phase == "left":
-            continue
-        if (gb.accuracy or Accuracy.TEMPORAL) == Accuracy.SNAPSHOT:
-            raise NotImplementedError(
-                "backfill_join caches TEMPORAL-accuracy parts; use "
-                "compute_join for mixed-accuracy joins")
+    for part in (jc.parts if phase != "left" else ()):
         prefix = part.full_prefix
         pdir = os.path.join(out_dir, "parts", prefix)
         part_dirs[part] = pdir
@@ -410,15 +396,7 @@ def backfill_join(
     def _events(gb: GroupByConf, step: PartitionRange):
         w_days = max_window_days(gb)
         r_start = None if w_days is None else shift_ds(step.start, -w_days)
-        right = None
-        for src in gb.sources:
-            q = _rep(src.query or TQuery(), start_partition=r_start,
-                     end_partition=step.end)
-            s = scan_source(_rep(src, query=q),
-                            columns=required_columns(src, gb))
-            right = s if right is None else with_schema(
-                right.union(s), dataset_schema(right))
-        return right
+        return scan_groupby_events(gb, (r_start, step.end))
 
     all_missing = set().union(*missing.values())
     for step in (s for r in collapse_to_ranges(all_missing)
@@ -439,7 +417,7 @@ def backfill_join(
                     part.full_prefix, part.group_by,
                     _read_parquet(_partition_files(part_dirs[part],
                                                    out_days)), False))
-        ds = join_step(left, part_left_keys or [], sides, num_partitions)
+        ds = join_step(left, part_left_keys, sides, num_partitions)
         step_schema = dataset_schema(ds)
 
         def target(key):

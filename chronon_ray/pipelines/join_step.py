@@ -1,9 +1,13 @@
-"""One co-partitioned plan per Join backfill step.
+"""One co-partitioned plan for a multi-part as-of join.
 
-A Join backfill step is an as-of join of one left table against the
-windowed aggregates of every joinPart (reference: spark/JoinBase.scala:
-132-227 computeJoinOpt). ``join_step`` plans it as ONE exchange, the way
-LMFAO computes a batch of group-by aggregates with shared work:
+A Join is an as-of join of one left table against the windowed aggregates
+of every joinPart (reference: spark/JoinBase.scala:132-227
+computeJoinOpt). ``join_step`` plans it as ONE exchange, the way LMFAO
+computes a batch of group-by aggregates with shared work. It is the only
+multi-part as-of join plan; its callers are ``joins.compute_join`` (every
+part computed), ``joins.compute_join_bootstrapped`` (every part computed
+where a bootstrap left a gap) and ``backfill.backfill_join`` (per step:
+the parts missing a day computed, the others read from their caches).
 
 1. the left rows (side 0) and one side per part are tagged: a part that
    must be computed brings its pruned events, a complete part its cached
@@ -12,14 +16,24 @@ LMFAO computes a batch of group-by aggregates with shared work:
    hash of the temporal join, the sides are unioned and grouped on the
    partition id;
 3. per partition, ``StepTemporalPartition`` factorizes (keys, ts) once,
-   null-safe — that is the distinct — runs each computed part's
-   ``TemporalPartition`` on the distinct queries, attaches each cached part
-   by (keys, ts), and fans the features back onto every left row.
+   null-safe — that is the distinct — asks each computed part's
+   ``TemporalPartition`` one query per distinct (keys, ts), attaches each
+   cached part by (keys, ts), and fans the features back onto every left
+   row. Two kinds of computed part ask fewer queries:
 
-The output holds the left rows with ``key_partitioned_join``'s column
-order (keys and ts first, then the other left columns, then each part's
-features) plus the ``FIRST`` flag, which marks one row of each (keys, ts):
-the rows a part cache keeps, however Ray splits the blocks.
+   - a SNAPSHOT-accuracy part (``GroupByConf.accuracy``) has "features as
+     of the end of ds-1": it asks at the row's day boundary
+     ``floor(ts/1d)*1d``, one query per distinct (keys, day), with daily
+     tail hops (reference: spark/JoinBase.scala:142-156 snapshotEvents);
+   - a part with ``covered`` left columns (a bootstrap already holds its
+     features) asks only for a (keys, ts) with a null in one of them on
+     some left row (reference CoveringSet, Join.scala:135-216); the other
+     rows get null features.
+
+The output holds the left rows, keys and ts first, then the other left
+columns, then each part's features, plus the ``FIRST`` flag, which marks
+one row of each (keys, ts): the rows a part cache keeps, however Ray
+splits the blocks.
 
 Sides are not padded to a union schema: each side keeps its own columns
 (those of part ``i`` namespaced as ``_<i>:<name>``) and the exchange's
@@ -37,13 +51,15 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from ..api import GroupByConf
+from ..api import MILLIS_DAY, Accuracy, GroupByConf
 from ..util import dataset_schema, drop_null_key_rows, with_schema
 from .groupby import canon_key_hash
 from .temporal import TemporalPartition, pruned_events_schema
 
 #: output flag: the first left row of its (keys, ts)
 FIRST = "_first"
+#: suffix of a covered part's features, beside the left's own columns
+COMPUTED = "__c"
 _SRC, _PART, _QID = "_src", "_part", "_qid"
 
 
@@ -51,12 +67,45 @@ _SRC, _PART, _QID = "_src", "_part", "_qid"
 class StepPart:
     """One joinPart of a step. ``data`` holds the part's events when
     ``computed``, else its cached feature rows (left keys, ``ts`` and the
-    prefixed feature columns)."""
+    prefixed feature columns). ``covered`` names the left columns that
+    already hold a computed part's features: the part is then asked only
+    where one of them is null, and its features come out under their
+    prefixed names plus ``COMPUTED``."""
 
     prefix: str
     conf: GroupByConf
     data: ray.data.Dataset
     computed: bool
+    covered: tuple = ()
+
+
+def uncovered_rows(t: pa.Table, columns: Sequence[str]) -> np.ndarray:
+    """The rows of ``t`` that still need a part computed: a null in one of
+    the part's feature ``columns`` — every row when ``t`` lacks one
+    (reference CoveringSet analysis, Join.scala:135-216)."""
+    need = np.zeros(len(t), dtype=bool)
+    for c in columns:
+        if c not in t.column_names:
+            return np.ones(len(t), dtype=bool)
+        need |= t[c].is_null().to_numpy(zero_copy_only=False)
+    return need
+
+
+def _part_kernel(gb: GroupByConf, events: pa.Schema) -> TemporalPartition:
+    """The kernel of a computed part over its pruned ``events``, answering
+    queries of (keys, ts, ``_QID``); daily hops for SNAPSHOT accuracy."""
+    return TemporalPartition(
+        list(gb.key_columns), gb.parts(), events,
+        [*gb.key_columns, "ts", _QID], tie_break=gb.tie_break_column,
+        daily=gb.accuracy == Accuracy.SNAPSHOT)
+
+
+def feature_fields(part: StepPart) -> list[pa.Field]:
+    """The prefixed feature fields a computed part adds, typed as its
+    ``TemporalPartition`` declares them."""
+    gb = part.conf
+    proc = _part_kernel(gb, pruned_events_schema(gb, dataset_schema(part.data)))
+    return [f.with_name(f"{part.prefix}_{f.name}") for f in proc.out_fields]
 
 
 def _physical(i: int, name: str) -> str:
@@ -101,6 +150,7 @@ class _KernelPart:
     schema: pa.Schema  # the side's columns, shared names first
     features: tuple  # (name in the side or kernel output, output name)
     proc: Optional[TemporalPartition]  # None: a cached part
+    covered: tuple  # left columns: ask only where one is null
 
 
 class StepTemporalPartition:
@@ -157,26 +207,51 @@ class StepTemporalPartition:
                 # back to the part's own key names
                 e = self._side(tbl, src, p.src, p.schema).rename_columns(
                     [*p.proc.keys, *p.schema.names[len(p.proc.keys):]])
-                q = queries.rename_columns([*p.proc.keys, "ts"]) \
-                    .append_column(_QID, pa.array(np.arange(n_q)))
-                out = p.proc.join(q, e)
-                at = np.empty(n_q, dtype=np.int64)
-                at[out[_QID].to_numpy(zero_copy_only=False)] = np.arange(n_q)
-                idx = pa.array(at[lcodes])
-                for name, out_name in p.features:
-                    cols[out_name] = out[name].take(idx)
+                t, row = self._ask(p, left, lcodes, queries, e)
             else:
                 t, c = cached_at[p.src]
                 at = np.full(len(codes), -1, dtype=np.int64)
                 at[c] = np.arange(len(t))
                 row = at[lcodes]
-                idx = pa.array(row, mask=row < 0)
-                for name, out_name in p.features:
-                    cols[out_name] = t[name].take(idx)
+            idx = pa.array(row, mask=row < 0)
+            for name, out_name in p.features:
+                cols[out_name] = t[name].take(idx)
         flag = np.zeros(n_left, dtype=bool)
         flag[first] = True
         cols[FIRST] = pa.array(flag)
         return pa.table(cols, schema=self.out_schema)
+
+    @staticmethod
+    def _ask(p: _KernelPart, left: pa.Table, lcodes: np.ndarray,
+             queries: pa.Table, events: pa.Table):
+        """Run computed part ``p`` on the distinct ``queries`` it needs
+        (see the module docstring). Returns its output and, per left row,
+        the output row that answers it (-1: not asked)."""
+        n_q = len(queries)
+        if p.covered:
+            asked = np.zeros(n_q, dtype=bool)
+            asked[lcodes[uncovered_rows(left, p.covered)]] = True
+            sel = np.flatnonzero(asked)
+            q = queries.take(pa.array(sel))
+        else:
+            sel, q = np.arange(n_q), queries
+        if p.proc.daily:
+            ts = q["ts"].to_numpy(zero_copy_only=False).astype(np.int64)
+            day = pa.array(ts // MILLIS_DAY * MILLIS_DAY).cast(q["ts"].type)
+            q = q.set_column(q.num_columns - 1, "ts", day)
+            q_row = _row_codes(q.columns)
+            _, first = np.unique(q_row, return_index=True)
+            q = q.take(pa.array(first))
+        else:
+            q_row = np.arange(len(sel))
+        q = q.rename_columns([*p.proc.keys, "ts"]).append_column(
+            _QID, pa.array(np.arange(len(q))))
+        out = p.proc.join(q, events)
+        out_row = np.empty(len(q), dtype=np.int64)
+        out_row[out[_QID].to_numpy(zero_copy_only=False)] = np.arange(len(q))
+        at = np.full(n_q, -1, dtype=np.int64)
+        at[sel] = out_row[q_row]
+        return out, at[lcodes]
 
 
 def _row_codes(columns: Sequence[pa.ChunkedArray]) -> np.ndarray:
@@ -192,12 +267,9 @@ def _row_codes(columns: Sequence[pa.ChunkedArray]) -> np.ndarray:
     return codes
 
 
-def join_step(left: ray.data.Dataset, left_keys: Sequence[str],
-              parts: Sequence[StepPart],
-              num_partitions: int) -> ray.data.Dataset:
-    """Every left row with the features of every part in ``parts``, as
-    one exchange (see the module docstring). ``left_keys`` are the left
-    columns each part's keys map to, in the parts' key order."""
+def _plan(left: ray.data.Dataset, left_keys: Sequence[str],
+          parts: Sequence[StepPart], num_partitions: int):
+    """The tagged sides of a join step and its per-partition kernel."""
     keys = [*left_keys, "ts"]
     hash_keys = list(left_keys) or keys  # a join without parts
     left_schema = dataset_schema(left)
@@ -221,11 +293,9 @@ def join_step(left: ray.data.Dataset, left_keys: Sequence[str],
                              + [pa.field("ts", shared["ts"])] + own)
             rename = {**to_left, "ts": "ts",
                       **{f.name: _physical(i, f.name) for f in own}}
-            proc = TemporalPartition(
-                list(gb.key_columns), gb.parts(), events,
-                [*gb.key_columns, "ts", _QID],
-                tie_break=gb.tie_break_column)
-            feats = [(f.name, f"{part.prefix}_{f.name}")
+            proc = _part_kernel(gb, events)
+            suffix = COMPUTED if part.covered else ""
+            feats = [(f.name, f"{part.prefix}_{f.name}{suffix}")
                      for f in proc.out_fields]
             out_fields += [f.with_name(o)
                            for f, (_, o) in zip(proc.out_fields, feats)]
@@ -241,11 +311,21 @@ def join_step(left: ray.data.Dataset, left_keys: Sequence[str],
             _TagAlignStep(i, rename, shared, hash_keys, num_partitions,
                           events=part.computed),
             batch_format="pyarrow"))
-        kernel_parts.append(_KernelPart(i, side, tuple(feats), proc))
+        kernel_parts.append(_KernelPart(i, side, tuple(feats), proc,
+                                        tuple(part.covered)))
     out_schema = pa.schema([*out_fields, pa.field(FIRST, pa.bool_())])
-    kernel = StepTemporalPartition(left_schema, keys, kernel_parts,
-                                   out_schema)
+    return tagged, StepTemporalPartition(left_schema, keys, kernel_parts,
+                                         out_schema)
+
+
+def join_step(left: ray.data.Dataset, left_keys: Sequence[str],
+              parts: Sequence[StepPart],
+              num_partitions: int) -> ray.data.Dataset:
+    """Every left row with the features of every part in ``parts``, as
+    one exchange (see the module docstring). ``left_keys`` are the left
+    columns each part's keys map to, in the parts' key order."""
+    tagged, kernel = _plan(left, left_keys, parts, num_partitions)
     unioned = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
     return with_schema(
         unioned.groupby(_PART).map_groups(kernel, batch_format="pyarrow"),
-        out_schema)
+        kernel.out_schema)

@@ -1,17 +1,20 @@
-"""Join orchestration: multi-part PITC joins, snapshot unrolling, derivations.
+"""Join orchestration: multi-part PITC joins, bootstraps, snapshot
+unrolling, label joins, derivations.
 
 Re-expression of the reference's Join lifecycle (reference: spark/Join.scala
 computeJoin; spark/JoinBase.scala:70-130 joinWithLeft; spark/GroupBy.scala:
 143-168 snapshotEvents multi-day unrolling; api/Extensions.scala:1069-1120
 derivations), Ray-Data-first:
 
-- each joinPart's features are computed on the DEDUPED (key, ts) set
-  (duplicate left rows ask the same question — compute once, fan out at
-  assembly), via the temporal engine;
-- assembly is ONE hash shuffle: left + every part's features co-partitioned
-  on (keys, ts) and merged per partition (assembly.key_partitioned_join);
-- SNAPSHOT accuracy reuses the same engine with DailyResolution hops and
-  end-of-day query timestamps — no separate daily codepath.
+- a multi-part join is ONE ``join_step`` plan (one exchange): the left
+  rows and every part's events are co-partitioned on the left keys, and
+  per partition each part answers the distinct (keys, ts) once and its
+  features fan back onto every left row (pipelines/join_step.py);
+- SNAPSHOT-accuracy parts run in the same kernel with DailyResolution hops
+  and day-boundary queries, and a bootstrapped join asks a part only where
+  the bootstrap left a feature null — no separate code path for either;
+- the multi-day snapshot GroupBy and label joins run the temporal engine
+  (``temporal_join``) directly.
 """
 
 from __future__ import annotations
@@ -24,12 +27,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from ..api import Accuracy, EventSource, GroupByConf, JoinConf, TQuery
-from ..sources import (read_parquet as _read_parquet, required_columns,
+from ..api import GroupByConf, JoinConf
+from ..sources import (read_parquet as _read_parquet, scan_groupby_events,
                        scan_source)
 from ..util import dataset_schema, map_typed, with_schema
 from .assembly import key_partitioned_join
-from .groupby import block_part_hash, stable_key_hash
+from .groupby import block_part_hash
+from .join_step import COMPUTED, FIRST, StepPart, feature_fields, join_step
 from .temporal import temporal_join
 
 MILLIS_DAY = 86_400_000
@@ -165,82 +169,36 @@ def snapshot_events_unrolled(
                          right_schema=schema, daily=True)
 
 
+def left_key_columns(jc: JoinConf) -> list[str]:
+    """The left columns every part's keys map to (keyMapping,
+    JoinBase.scala:87-101), in the parts' key order."""
+    keys = None
+    for part in jc.parts:
+        r2l = part.right_to_left()
+        cols = [r2l.get(k, k) for k in part.group_by.key_columns]
+        if keys is None:
+            keys = cols
+        elif keys != cols:
+            raise NotImplementedError(
+                "parts with different left key sets need one join per key "
+                "set; split the join")
+    return keys or []
+
+
 def compute_join(
     jc: JoinConf,
     num_partitions: int = DEFAULT_NUM_PARTITIONS,
 ) -> ray.data.Dataset:
-    """Full multi-part join: left ⟕ features of every joinPart, PITC."""
-    left = scan_source(jc.left)
-    left = skew_filter(left, jc.skew_keys)
-    feats = []
-    feat_keys: list[list[str]] = []
-    part_left_keys: Optional[list[str]] = None
-    any_snapshot = any((p.group_by.accuracy or Accuracy.TEMPORAL)
-                       == Accuracy.SNAPSHOT for p in jc.parts)
-    if any_snapshot:
-        # SNAPSHOT-accuracy parts are "features as of end of ds-1": the
-        # query instant is the row's day boundary floor(ts/1d)*1d, so every
-        # left row in a day shares one feature row and same-day events are
-        # excluded (reference: spark/JoinBase.scala:142-156 snapshotEvents).
-        def add_ts_d(t: pa.Table) -> pa.Table:
-            ts = t["ts"].to_numpy(zero_copy_only=False).astype(np.int64)
-            return t.append_column(
-                "_ts_d", pa.array((ts // MILLIS_DAY) * MILLIS_DAY))
-
-        left = map_typed(left, add_ts_d)
-    for part in jc.parts:
-        gb = part.group_by
-        right = None
-        right_schema = None
-        for src in gb.sources:
-            s = scan_source(src, columns=required_columns(src, gb))
-            if right is None:
-                right, right_schema = s, dataset_schema(s)
-            else:
-                right = right.union(s)
-        # left column for each right key (keyMapping, JoinBase.scala:87-101)
-        r2l = part.right_to_left()
-        left_key_cols = [r2l.get(k, k) for k in gb.key_columns]
-        if part_left_keys is None:
-            part_left_keys = left_key_cols
-        elif part_left_keys != left_key_cols:
-            raise NotImplementedError(
-                "parts with different left key sets need per-part assembly "
-                "keys; split the join")
-        accuracy = gb.accuracy or Accuracy.TEMPORAL
-        snapshot = accuracy == Accuracy.SNAPSHOT
-        ts_col = "_ts_d" if snapshot else "ts"
-        kt = map_typed(
-            left,
-            lambda t, cols=tuple([*left_key_cols, ts_col]),
-            names=tuple([*gb.key_columns, "ts"]):
-                t.select(list(cols)).rename_columns(list(names)))
-        kt = distinct_rows(kt, [*gb.key_columns, "ts"], num_partitions)
-        f = temporal_join(kt, right, gb, num_partitions=num_partitions,
-                          right_schema=right_schema, daily=snapshot)
-        prefix = part.full_prefix
-        rename = {p.output_name: f"{prefix}_{p.output_name}" for p in gb.parts()}
-        rename.update(dict(zip(gb.key_columns, left_key_cols)))
-        if snapshot:
-            rename["ts"] = "_ts_d"
-
-        def fix_names(t: pa.Table, r=tuple(rename.items())):
-            m = dict(r)
-            return t.rename_columns([m.get(c, c) for c in t.column_names])
-
-        feats.append(map_typed(f, fix_names))
-        feat_keys.append([*left_key_cols, ts_col])
-    join_keys = [*(part_left_keys or []), "ts"]
-    if any_snapshot:
-        out = key_partitioned_join(
-            left, feats, keys=join_keys, how="left",
-            num_partitions=num_partitions, right_keys=feat_keys,
-            hash_keys=part_left_keys or [])
-        out = map_typed(out, lambda t: t.drop_columns(["_ts_d"]))
-    else:
-        out = key_partitioned_join(left, feats, keys=join_keys, how="left",
-                                   num_partitions=num_partitions)
-    return apply_derivations(out, jc.derivations)
+    """Full multi-part join: left ⟕ features of every joinPart, PITC, as
+    one ``join_step`` plan."""
+    keys = left_key_columns(jc)
+    left = skew_filter(scan_source(jc.left), jc.skew_keys)
+    parts = [StepPart(p.full_prefix, p.group_by,
+                      scan_groupby_events(p.group_by), True)
+             for p in jc.parts]
+    out = join_step(left, keys, parts, num_partitions)
+    return apply_derivations(
+        map_typed(out, lambda t: t.drop_columns([FIRST])), jc.derivations)
 
 
 def entity_snapshot_join(
@@ -395,7 +353,7 @@ def pad_external_parts(ds: ray.data.Dataset,
                 t = t.append_column(f.name, pa.nulls(len(t), type=f.type))
         return t
 
-    return ds.map_batches(pad, batch_format="pyarrow")
+    return map_typed(ds, pad)
 
 
 class _CoalescedMerge:
@@ -454,7 +412,6 @@ def bootstrap_join(
     """left ⟕ one bootstrap table on row_ids, coalescing shared columns and
     recording ``matched_hashes`` lineage (reference Join.scala:517-609)."""
     from .assembly import _TagPad
-    from ..util import dataset_schema
 
     ls, rs = dataset_schema(left), dataset_schema(bootstrap)
     union_fields: list[pa.Field] = []
@@ -471,33 +428,14 @@ def bootstrap_join(
                                batch_format="pyarrow")
     merge = _CoalescedMerge(row_ids, list(ls.names), list(rs.names), types,
                             part_hash)
-    return tl.union(tr).groupby("_part").map_groups(merge, batch_format="pandas")
-
-
-def covering_sets(
-    bootstrapped: ray.data.Dataset,
-    part_columns: dict[str, Sequence[str]],
-) -> dict[str, ray.data.Dataset]:
-    """Which left rows still need each part computed: a row is COVERED for a
-    part when every one of the part's output columns is non-null after
-    bootstrap (reference CoveringSet analysis, Join.scala:135-216). Returns
-    {part_name: dataset of rows needing backfill}."""
-    out = {}
-    for name, cols in part_columns.items():
-        cols = [c for c in cols]
-
-        def need(t: pa.Table, cs=tuple(cols)) -> pa.Table:
-            mask = None
-            for c in cs:
-                m = pc.is_null(t[c]) if c in t.column_names else None
-                if m is None:
-                    return t  # column absent → everything needs compute
-                mask = m if mask is None else pc.or_(mask, m)
-            return t.filter(mask) if mask is not None else t
-
-        need.__name__ = f"need_{name}"
-        out[name] = bootstrapped.map_batches(need, batch_format="pyarrow")
-    return out
+    # the merge's columns: the left's, the bootstrap's own, the lineage
+    out = [*ls, *(f for f in rs if f.name not in ls.names)]
+    if "matched_hashes" not in ls.names:
+        out.append(pa.field("matched_hashes", pa.list_(pa.string())))
+    return with_schema(
+        tl.union(tr).groupby("_part").map_groups(merge,
+                                                 batch_format="pandas"),
+        pa.schema(out))
 
 
 def compute_join_bootstrapped(
@@ -507,111 +445,47 @@ def compute_join_bootstrapped(
     """compute_join with the bootstrap lifecycle (reference Join.computeJoin
     steps 4-6, Join.scala:48-63, 135-216, 517-635):
 
-    1. left ⟕ each bootstrap table on row_ids (coalesce + matched_hashes);
-    2. covering-set analysis: a part is computed only for left rows whose
-       bootstrap columns are incomplete;
-    3. computed features coalesce INTO the bootstrap columns (bootstrap wins
-       where present) at a single co-partitioned assembly.
+    1. the left, with a typed null column per feature, ⟕ each bootstrap
+       table on row_ids (coalesce + matched_hashes);
+    2. one ``join_step`` over the booted left computes each part only for
+       the (keys, ts) of rows whose bootstrap columns are incomplete
+       (covering-set analysis, in the kernel), under ``COMPUTED`` names;
+    3. computed features coalesce INTO the bootstrap columns (bootstrap
+       wins where present).
     """
     import hashlib
 
     if not jc.bootstrap_parts:
         return compute_join(jc, num_partitions)
-    assert jc.row_ids, "bootstrap joins need JoinConf.row_ids"
-    left = scan_source(jc.left)
-    left = skew_filter(left, jc.skew_keys)
-
-    # declared feature columns of every part (bootstrap may cover a subset)
-    part_cols = {
-        part.full_prefix: [f"{part.full_prefix}_{p.output_name}"
-                           for p in part.group_by.parts()]
-        for part in jc.parts
-    }
-    all_feat_cols = [c for cols in part_cols.values() for c in cols]
-
-    # left must carry typed columns for every feature so coalescing is
+    if not jc.row_ids:
+        raise ValueError(f"bootstrap join {jc.name!r} needs JoinConf.row_ids")
+    keys = left_key_columns(jc)
+    parts = [StepPart(p.full_prefix, p.group_by,
+                      scan_groupby_events(p.group_by), True,
+                      covered=tuple(f"{p.full_prefix}_{a.output_name}"
+                                    for a in p.group_by.parts()))
+             for p in jc.parts]
+    # the left carries typed columns for every feature so coalescing is
     # well-defined even for rows no bootstrap covers
-    proto_fields = []
-    for part in jc.parts:
-        gb = part.group_by
-        src_schema = dataset_schema(scan_source(gb.sources[0]))
-        for p in gb.parts():
-            in_type = src_schema.field(p.input_column).type
-            from ..aggregators.ops import OPS as _OPS
-
-            explode = (pa.types.is_list(in_type) or pa.types.is_large_list(in_type))
-            el = in_type.value_type if explode and p.operation.name in (
-                "SUM", "COUNT", "AVERAGE") else in_type
-            proto_fields.append(
-                pa.field(f"{part.full_prefix}_{p.output_name}",
-                         _OPS[p.operation].output_arrow_type(el, p)))
-    left = pad_external_parts(left, proto_fields)
-
-    booted = left
+    fields = [f for p in parts for f in feature_fields(p)]
+    booted = pad_external_parts(
+        skew_filter(scan_source(jc.left), jc.skew_keys), fields)
     for bp in jc.bootstrap_parts:
-        bds = bp.table if isinstance(bp.table, ray.data.Dataset) else             _read_parquet(bp.table)
+        bds = bp.table if isinstance(bp.table, ray.data.Dataset) \
+            else _read_parquet(bp.table)
         h = hashlib.md5(repr(bp).encode()).hexdigest()[:12]
         booted = bootstrap_join(booted, bds,
                                 row_ids=list(bp.row_ids or jc.row_ids),
                                 part_hash=h, num_partitions=num_partitions)
-    booted = booted.materialize()  # reused by every part's covering set
+    out = join_step(booted, keys, parts, num_partitions)
 
-    need = covering_sets(booted, part_cols)
-    feats = []
-    part_left_keys = None
-    for part in jc.parts:
-        gb = part.group_by
-        right = None
-        right_schema = None
-        for src in gb.sources:
-            sds = scan_source(src, columns=required_columns(src, gb))
-            if right is None:
-                right, right_schema = sds, dataset_schema(sds)
-            else:
-                right = right.union(sds)
-        r2l = part.right_to_left()
-        left_key_cols = [r2l.get(k, k) for k in gb.key_columns]
-        part_left_keys = part_left_keys or left_key_cols
-        needed = need[part.full_prefix]
-        kt = needed.map_batches(
-            lambda t, cols=tuple([*left_key_cols, "ts"]),
-            names=tuple([*gb.key_columns, "ts"]):
-                t.select(list(cols)).rename_columns(list(names)),
-            batch_format="pyarrow")
-        kt = distinct_rows(kt, [*gb.key_columns, "ts"], num_partitions)
-        f = temporal_join(kt, right, gb, num_partitions=num_partitions,
-                          right_schema=right_schema)
-        prefix = part.full_prefix
-        # computed columns land under __c and coalesce in the final pass
-        rename = {p.output_name: f"{prefix}_{p.output_name}__c"
-                  for p in gb.parts()}
-        rename.update(dict(zip(gb.key_columns, left_key_cols)))
+    def coalesce(t: pa.Table, names=tuple(f.name for f in fields)):
+        for c in names:
+            t = t.set_column(t.column_names.index(c), c,
+                             pc.coalesce(t[c], t[c + COMPUTED]))
+        return t.drop_columns([FIRST, *(c + COMPUTED for c in names)])
 
-        def fix_names(t: pa.Table, r=tuple(rename.items())):
-            m = dict(r)
-            return t.rename_columns([m.get(c, c) for c in t.column_names])
-
-        feats.append(f.map_batches(fix_names, batch_format="pyarrow"))
-
-    join_keys = [*(part_left_keys or []), "ts"]
-    out = key_partitioned_join(booted, feats, keys=join_keys, how="left",
-                               num_partitions=num_partitions)
-
-    def coalesce(t: pa.Table) -> pa.Table:
-        for c in all_feat_cols:
-            cc = f"{c}__c"
-            if cc in t.column_names:
-                base = t[c] if not isinstance(t[c], pa.ChunkedArray) else t[c].combine_chunks()
-                comp = t[cc] if not isinstance(t[cc], pa.ChunkedArray) else t[cc].combine_chunks()
-                if comp.type != base.type:
-                    comp = pc.cast(comp, base.type, safe=False)
-                merged = pc.if_else(pc.is_valid(base), base, comp)
-                t = t.set_column(t.column_names.index(c), c, merged)
-                t = t.drop_columns([cc])
-        return t
-
-    out = out.map_batches(coalesce, batch_format="pyarrow")
-    return apply_derivations(out, jc.derivations)
+    return apply_derivations(map_typed(out, coalesce), jc.derivations)
 
 
 # ------------------------------------------------- label lifecycle

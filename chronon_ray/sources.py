@@ -349,6 +349,27 @@ def scan_source(
     return scan_table(source.snapshot_table, source.query, columns, keep_columns)
 
 
+def scan_groupby_events(conf, partition_range: Optional[tuple] = None
+                        ) -> ray.data.Dataset:
+    """The union of every source of GroupBy ``conf``, each read with only
+    the columns its aggregation needs (``required_columns``), typed as the
+    first source. ``partition_range`` (start, end) — start None for all
+    history — replaces each source's own range."""
+    from dataclasses import replace
+
+    out = None
+    for src in conf.sources:
+        if partition_range is not None:
+            q = replace(src.query or TQuery(),
+                        start_partition=partition_range[0],
+                        end_partition=partition_range[1])
+            src = replace(src, query=q)
+        s = scan_source(src, columns=required_columns(src, conf))
+        out = s if out is None else with_schema(out.union(s),
+                                                dataset_schema(out))
+    return out
+
+
 def groupby_columns(conf) -> set[str]:
     """Columns a GroupBy's aggregation reads from its rendered source:
     keys, ``ts``, part inputs, buckets and the tie-break column."""

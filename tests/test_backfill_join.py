@@ -400,3 +400,44 @@ def test_backfill_join_derivations_match_compute_join(small_dirs, tmp_path,
     assert sorted(got.columns) == sorted(exp.columns)
     pd.testing.assert_frame_equal(got, exp[list(got.columns)],
                                   check_dtype=False)
+
+
+def test_backfill_join_mixed_accuracy_matches_compute_join(small_dirs,
+                                                           tmp_path):
+    """A TEMPORAL and a SNAPSHOT part run through the same step plan: one
+    phase="all" run and left → parts → final runs both give compute_join's
+    output on the same left range, and a re-run computes nothing."""
+    from dataclasses import replace
+
+    from chronon_ray.api import Accuracy
+    from chronon_ray.pipelines.joins import compute_join
+    from chronon_ray.sources import list_partitions
+
+    base = _small_conf(small_dirs)
+    snap = replace(base.parts[2].group_by, name="src7d_snap",
+                   accuracy=Accuracy.SNAPSHOT)
+    jc = replace(base, parts=(base.parts[0], JoinPart(group_by=snap)))
+    days = list_partitions(small_dirs["left_dir"])[-3:]
+    q = replace(jc.left.query or TQuery(), start_partition=days[0],
+                end_partition=days[-1])
+    exp = compute_join(replace(jc, left=replace(jc.left, query=q)),
+                       num_partitions=4).to_pandas() \
+        .drop(columns=["ds"], errors="ignore") \
+        .sort_values("row").reset_index(drop=True)
+    # the SNAPSHOT part answers one question per (key, day)
+    day = exp["ts"] // 86_400_000
+    per_day = exp.groupby([exp["doc_id"].fillna("<null>"), day],
+                          dropna=False)["src7d_snap_source_last_7d"]
+    assert (per_day.nunique(dropna=False) == 1).all()
+    for phases in (["all"], ["left", "parts", "final"]):
+        out = str(tmp_path / "-".join(phases))
+        for ph in phases:
+            backfill_join(jc, out, days[0], days[-1], step_days=2,
+                          num_partitions=4, phase=ph)
+        got = _read_out(out, days)
+        assert list(got.columns) == list(exp.columns)
+        pd.testing.assert_frame_equal(got, exp, check_dtype=False)
+        again = backfill_join(jc, out, days[0], days[-1], step_days=2,
+                              num_partitions=4)
+        assert again["part_steps_computed"] == 0
+        assert again["partitions_written"] == []

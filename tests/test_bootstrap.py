@@ -1,16 +1,15 @@
 """Bootstrap joins (coalesce precomputed values, matched_hashes lineage),
 covering-set analysis, external-part null padding."""
 
+import dataclasses
+
 import numpy as np
 import pyarrow as pa
 import pytest
 import ray.data as rd
 
-from chronon_ray.pipelines.joins import (
-    bootstrap_join,
-    covering_sets,
-    pad_external_parts,
-)
+from chronon_ray.pipelines.join_step import uncovered_rows
+from chronon_ray.pipelines.joins import bootstrap_join, pad_external_parts
 
 
 @pytest.fixture(scope="module")
@@ -50,9 +49,13 @@ def test_covering_sets(tables):
     booted = bootstrap_join(rd.from_arrow(left), rd.from_arrow(bs),
                             row_ids=["row_id"], part_hash="bs1",
                             num_partitions=4)
-    need = covering_sets(booted, {"p": ["f_sum", "f_cnt"], "q": ["f_sum"]})
-    need_p = need["p"].to_pandas()["row_id"].sort_values().tolist()
-    need_q = need["q"].to_pandas()["row_id"].sort_values().tolist()
+    t = pa.Table.from_pandas(booted.to_pandas(), preserve_index=False)
+
+    def need(cols):
+        return sorted(t["row_id"].filter(pa.array(uncovered_rows(t, cols)))
+                      .to_pylist())
+
+    need_p, need_q = need(["f_sum", "f_cnt"]), need(["f_sum"])
     # p needs rows where f_sum or f_cnt null: 5,6 (cnt null) + 7,8,9
     assert need_p == [5, 6, 7, 8, 9]
     # q (f_sum only) needs just 7,8,9
@@ -112,3 +115,126 @@ def test_compute_join_bootstrapped_invariance(ray_session, sf_dir):
     # lineage: bootstrapped rows carry the hash, others don't
     hit = boot["matched_hashes"].map(lambda v: v is not None and len(v) > 0)
     assert hit.sum() == len(half)
+
+
+def test_bootstrap_join_without_row_ids_raises(ray_session, sf_dir):
+    from chronon_ray.api import (BootstrapPart, EventSource, GroupByConf,
+                                 JoinConf, JoinPart, agg)
+    from chronon_ray.pipelines.joins import compute_join_bootstrapped
+
+    src = EventSource(table=f"{sf_dir}/events.parquet")
+    gb = GroupByConf(name="g", sources=(src,), key_columns=("user_id",),
+                     aggregations=(agg("value", "sum"),))
+    jc = JoinConf(name="no_ids", left=src, parts=(JoinPart(group_by=gb),),
+                  bootstrap_parts=(BootstrapPart(table=f"{sf_dir}/x"),))
+    with pytest.raises(ValueError, match="no_ids.*row_ids"):
+        compute_join_bootstrapped(jc)
+
+
+def test_bootstrapped_features_equal_compute_join(ray_session, tmp_path):
+    """Half the rows bootstrapped from compute_join's own output: the
+    bootstrapped join gives compute_join's features with its exact types —
+    list inputs (exploded by some ops, not by others) and a SNAPSHOT part
+    (asked at the day boundary) included."""
+    import pyarrow.compute as pc
+
+    from chronon_ray.api import (Accuracy, BootstrapPart, EventSource,
+                                 GroupByConf, JoinConf, JoinPart, agg, window)
+    from chronon_ray.pipelines.joins import (compute_join,
+                                             compute_join_bootstrapped)
+    from chronon_ray.testing.tokengen import gen_events, write_partitioned
+
+    ev = gen_events(800, n_keys=20, seed=5, span_days=4)
+    ev = ev.append_column("row", pa.array(np.arange(len(ev)), pa.int64()))
+    write_partitioned(ev, str(tmp_path / "ev"))
+    src = EventSource(table=str(tmp_path / "ev"))
+    w = [window(2, "d")]
+    gb = GroupByConf(
+        name="g", sources=(src,), key_columns=("doc_id",),
+        aggregations=(agg("n_tok", "sum", w), agg("n_tok", "average", w),
+                      agg("tokens", "max", w), agg("tokens", "variance", w),
+                      agg("tokens", "unique_count", w),
+                      agg("source", "last_k", w, k=2)))
+    snap = GroupByConf(name="s", sources=(src,), key_columns=("doc_id",),
+                       aggregations=(agg("n_tok", "sum", w),),
+                       accuracy=Accuracy.SNAPSHOT)
+    jc = JoinConf(name="boot", left=src,
+                  parts=(JoinPart(group_by=gb), JoinPart(group_by=snap)),
+                  row_ids=("row",))
+    full = compute_join(jc, num_partitions=4).materialize()
+    feats = [f for f in full.schema().base_schema
+             if f.name.startswith(("g_", "s_"))]
+    assert len(feats) == 7
+    names = [f.name for f in feats]
+    half = full.map_batches(
+        lambda t, cols=("row", *names): t.filter(
+            pc.equal(pc.bit_wise_and(t["row"], 1), 0)).select(cols),
+        batch_format="pyarrow")
+    boot = compute_join_bootstrapped(
+        dataclasses.replace(jc, bootstrap_parts=(BootstrapPart(table=half),)),
+        num_partitions=4).materialize()
+    assert [boot.schema().base_schema.field(n) for n in names] == feats
+
+    def cols(ds):
+        import ray
+
+        t = pa.concat_tables([b for b in ray.get(ds.to_arrow_refs())
+                              if b.num_rows]).sort_by("row")
+        return {n: t[n].to_pylist() for n in names}
+
+    exp, got = cols(full), cols(boot)
+    for f in feats:
+        if pa.types.is_floating(f.type):
+            np.testing.assert_allclose(np.array(got[f.name], float),
+                                       np.array(exp[f.name], float),
+                                       rtol=1e-12, err_msg=f.name)
+        else:
+            assert got[f.name] == exp[f.name], f.name
+
+
+def test_step_kernel_asks_only_uncovered_and_daily_queries(ray_session):
+    """The join-step kernel, called in-process on one partition: a part
+    covered on every left row asks nothing, a part covered except on one
+    row of one (keys, ts) asks that one query, and a SNAPSHOT part asks
+    one query per distinct (keys, day)."""
+    import ray
+
+    from chronon_ray.api import (UNBOUNDED, Accuracy, GroupByConf, agg)
+    from chronon_ray.pipelines.join_step import COMPUTED, StepPart, _plan
+
+    day = 86_400_000
+    left = pa.table({
+        "k": ["a", "a", "b", "b"],
+        "ts": pa.array([10 * day + 1, 10 * day + 1, 10 * day + 2,
+                        10 * day + 3], pa.int64()),
+        "pa_v_sum": [5.0, 5.0, 6.0, 7.0],
+        "pb_v_sum": [None, 5.0, 6.0, 7.0],
+    })
+    events = pa.table({"k": ["a", "b"],
+                       "ts": pa.array([9 * day + 5, 9 * day + 7], pa.int64()),
+                       "v": [1.0, 2.0]})
+
+    def gb(name, accuracy=None):
+        return GroupByConf(name=name, sources=(), key_columns=("k",),
+                           aggregations=(agg("v", "sum", [UNBOUNDED]),),
+                           accuracy=accuracy)
+
+    ev = rd.from_arrow(events)
+    parts = [StepPart("pa", gb("pa"), ev, True, covered=("pa_v_sum",)),
+             StepPart("pb", gb("pb"), ev, True, covered=("pb_v_sum",)),
+             StepPart("pc", gb("pc", Accuracy.SNAPSHOT), ev, True)]
+    tagged, kernel = _plan(rd.from_arrow(left), ["k"], parts, 1)
+    tbl = pa.concat_tables([t for d in tagged
+                            for t in ray.get(d.to_arrow_refs())],
+                           promote_options="default")
+    asked = {}
+    for p in kernel.parts:
+        def spy(q, e, join=p.proc.join, src=p.src):
+            asked[src] = len(q)
+            return join(q, e)
+        p.proc.join = spy
+    out = kernel(tbl).sort_by([("k", "ascending"), ("ts", "ascending")])
+    assert asked == {1: 0, 2: 1, 3: 2}
+    assert out[f"pa_v_sum{COMPUTED}"].null_count == 4
+    assert out[f"pb_v_sum{COMPUTED}"].to_pylist() == [1.0, 1.0, None, None]
+    assert out["pc_v_sum"].to_pylist() == [1.0, 1.0, 2.0, 2.0]

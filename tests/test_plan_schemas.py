@@ -6,8 +6,9 @@ to write data:
 
 1. a ``backfill_join`` step of 3 or 5 parts and an incremental run are
    one execution each: one exchange whose write tasks write every
-   target; sizing an exchange executes nothing (counted with a Ray Data
-   execution callback);
+   target; ``compute_join`` is one exchange, and a bootstrapped join one
+   more for its bootstrap merge; sizing an exchange executes nothing
+   (counted with a Ray Data execution callback);
 2. the declared schema equals the executed one, for non-empty and zero-row
    inputs alike, and ``write_partitioned`` raises on a wrong one — for a
    step, before any target is written; only files a write task returned
@@ -187,6 +188,44 @@ def test_backfill_join_five_part_step_runs_one_exchange(tables, tmp_path):
     _check_step_executions(tables, tmp_path, 5)
 
 
+def test_compute_join_runs_one_exchange(tables):
+    """Three parts, and a TEMPORAL + SNAPSHOT pair, each in one exchange."""
+    from chronon_ray.api import Accuracy
+    from chronon_ray.pipelines.joins import compute_join
+
+    three = _join_conf(tables)
+    sum7d, cnt1d = _parts(tables["events"], 2)
+    mixed = dataclasses.replace(three, parts=(
+        JoinPart(group_by=sum7d),
+        JoinPart(group_by=dataclasses.replace(cnt1d,
+                                              accuracy=Accuracy.SNAPSHOT))))
+    for jc in (three, mixed):
+        with count_executions() as cb:
+            out = compute_join(jc, num_partitions=4).materialize()
+        assert out.count() > 0
+        assert cb.n == 1 and cb.kinds == [(1, False)]
+
+
+def test_compute_join_bootstrapped_runs_two_exchanges(tables, tmp_path):
+    """The bootstrap merge and the join step: one execution, the booted
+    left read once."""
+    from chronon_ray.api import BootstrapPart
+    from chronon_ray.pipelines.joins import (compute_join,
+                                             compute_join_bootstrapped)
+
+    jc = dataclasses.replace(_join_conf(tables), row_ids=("doc_id", "ts"))
+    full = compute_join(jc, num_partitions=4).to_pandas()
+    bs = full.iloc[::2][["doc_id", "ts", "sum7d_n_tok_sum_7d"]]
+    pq.write_table(pa.Table.from_pandas(bs, preserve_index=False),
+                   str(tmp_path / "bs.parquet"))
+    jc = dataclasses.replace(jc, bootstrap_parts=(
+        BootstrapPart(table=str(tmp_path / "bs.parquet")),))
+    with count_executions() as cb:
+        out = compute_join_bootstrapped(jc, num_partitions=4).materialize()
+    assert out.count() == len(full)
+    assert cb.n == 1 and cb.kinds == [(2, False)]
+
+
 def test_auto_partitions_plans_without_executing(tables):
     from chronon_ray.pipelines.temporal import temporal_join
     from chronon_ray.pipelines.upload import groupby_upload
@@ -298,6 +337,35 @@ def _build(name, t, empty):
         return key_partitioned_join(_scan(t, "queries", empty), [feats],
                                     keys=["doc_id", "ts"], how="left",
                                     num_partitions=4)
+    if name == "compute_join":
+        from chronon_ray.api import Accuracy
+        from chronon_ray.pipelines.joins import compute_join
+
+        jc = _join_conf(t)
+        rng = TQuery(start_partition="2000-01-01",
+                     end_partition="2000-01-02") if empty else TQuery(
+            start_partition=t["days"][-2], end_partition=t["days"][-1])
+        snap = dataclasses.replace(jc.parts[1].group_by,
+                                   accuracy=Accuracy.SNAPSHOT)
+        return compute_join(dataclasses.replace(
+            jc, left=EventSource(table=t["queries"], query=rng),
+            parts=(jc.parts[0], JoinPart(group_by=snap))), num_partitions=4)
+    if name == "bootstrap_join":
+        import pyarrow.compute as pc
+
+        from chronon_ray.pipelines.joins import bootstrap_join
+        from chronon_ray.util import map_typed
+
+        left = map_typed(_scan(t, "queries", empty), lambda b: b.append_column(
+            "f", pa.nulls(len(b), pa.int64())))
+        q = _scan(t, "queries", False).take_batch(40, batch_format="pyarrow")
+        bs = q.select(["doc_id", "ts"]).append_column(
+            "f", pc.if_else(pc.equal(pc.bit_wise_and(q["ts"], 1), 0),
+                            pa.scalar(None, pa.int64()),
+                            pa.array(range(len(q)), pa.int64()))
+        ).append_column("note", pa.array(["x"] * len(q)))
+        return bootstrap_join(left, ray.data.from_arrow(bs),
+                              ["doc_id", "ts"], "h", num_partitions=4)
     if name == "groupby_upload":
         return _checkpoint(t, empty)
     if name == "roll_checkpoint":
@@ -328,8 +396,9 @@ def _pairs(schema):
 @pytest.mark.parametrize("empty", [False, True], ids=["rows", "zero_rows"])
 @pytest.mark.parametrize("name", [
     "scan_table", "distinct_rows", "temporal_join", "temporal_join_salted",
-    "key_partitioned_join", "groupby_upload", "roll_checkpoint",
-    "serve_with_events", "serve_with_tiles"])
+    "key_partitioned_join", "compute_join", "bootstrap_join",
+    "groupby_upload", "roll_checkpoint", "serve_with_events",
+    "serve_with_tiles"])
 def test_declared_schema_equals_executed(tables, name, empty):
     ds = _build(name, tables, empty)
     declared = known_schema(ds)
