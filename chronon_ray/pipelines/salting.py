@@ -31,11 +31,7 @@ import ray.data
 
 from ..api import AggregationPart, GroupByConf, Operation
 from ..aggregators.ops import OPS
-
-_PREFIX_OPS = {Operation.SUM, Operation.COUNT, Operation.AVERAGE, Operation.VARIANCE,
-               Operation.SKEW, Operation.KURTOSIS}
-_MOMENTS_NEEDED = {Operation.COUNT: 0, Operation.SUM: 1, Operation.AVERAGE: 1,
-                   Operation.VARIANCE: 2, Operation.SKEW: 3, Operation.KURTOSIS: 4}
+from .temporal import _MOMENTS_NEEDED, _family
 
 
 def detect_hot_keys(
@@ -98,7 +94,8 @@ def partial_fields(parts: list[AggregationPart], right_schema: pa.Schema,
     fields: list[pa.Field] = []
     for p in parts:
         name = p.output_name
-        fam = "sawtooth" if _is_map_input(p, right_schema) else _family(p)
+        fam = "sawtooth" if _is_map_input(p, right_schema) \
+            else _family(p, partials=True)
         if fam == "prefix":
             nm = _MOMENTS_NEEDED[p.operation]
             fields.append(pa.field(f"{name}__n", pa.float64()))
@@ -147,17 +144,6 @@ def _tb_ord(tb):
     return (True, None) if missing else (False, tb)
 
 
-def _family(p: AggregationPart) -> str:
-    if p.bucket is not None:
-        return "sawtooth"
-    if p.operation in _PREFIX_OPS:
-        return "prefix"
-    if p.operation in (Operation.FIRST, Operation.LAST, Operation.FIRST_K,
-                       Operation.LAST_K):
-        return "slice"
-    return "sawtooth"
-
-
 class SaltedMerge:
     """Second stage: all S partial rows of each _qid → one finalized row.
     Vectorized across queries for the prefix family (grouped sums + formula);
@@ -204,7 +190,8 @@ class SaltedMerge:
                 out_cols[c] = pdf[c].to_numpy()[first_idx]
         for p, f in zip(self.parts, self.out_fields):
             name = p.output_name
-            fam = "sawtooth" if name in self.map_parts else _family(p)
+            fam = "sawtooth" if name in self.map_parts \
+                else _family(p, partials=True)
             op = OPS[p.operation]
             if fam == "prefix":
                 nm = _MOMENTS_NEEDED[p.operation]

@@ -25,9 +25,16 @@ groupByKey+leftOuterJoin chain with one co-partitioned pass):
    - slice family (FIRST/LAST/FIRST_K/LAST_K): non-null event positions +
      searchsorted → direct index arithmetic; payloads (e.g. token arrays)
      are gathered with Arrow ``take`` — zero-copy, bit-exact;
-   - sawtooth family (UNIQUE_COUNT/APPROX_*/HISTOGRAM/TOP_K/BOTTOM_K/MIN/
-     MAX and all bucketed parts): per-key hop-tiled two-stack engine
-     (windowing/sawtooth.py) with hop-IR caching across windows.
+   - distinct family (un-bucketed UNIQUE_COUNT over scalar or list inputs,
+     finalized): each window is the event range [tail, head); the previous
+     position of every element's value (one stable sort of its dictionary
+     code) bounds the run of queries that count it, found by searchsorted,
+     and a difference array sums the runs — O(E·log E + (E+Q)·log Q) per
+     partition, no python loop;
+   - sawtooth family (APPROX_*/HISTOGRAM/TOP_K/BOTTOM_K/MIN/MAX, all
+     bucketed or map-input parts, and UNIQUE_COUNT partials for the salted
+     merge): per-key hop-tiled two-stack engine (windowing/sawtooth.py)
+     with hop-IR caching across windows.
 
 No stage materializes the dataset; the output streams out of the groupby.
 """
@@ -252,13 +259,18 @@ class MapPyOp(AggOp):
                       for k, v in ir.items())
 
 
-def _family(part: AggregationPart) -> str:
+def _family(part: AggregationPart, partials: bool = False) -> str:
+    """Kernel family of a part over a non-map input; ``partials`` (the
+    salted path's mergeable IRs) keeps UNIQUE_COUNT on the sawtooth
+    engine's sets."""
     if part.bucket is not None:
         return "sawtooth"
     if part.operation in _PREFIX_OPS:
         return "prefix"
     if part.operation in _SLICE_OPS:
         return "slice"
+    if part.operation == Operation.UNIQUE_COUNT and not partials:
+        return "distinct"
     return "sawtooth"
 
 
@@ -302,7 +314,8 @@ class TemporalPartition:
             base = OPS[p.operation].output_arrow_type(el_type, replace(p, bucket=None))
             t = pa.map_(pa.string(), base) if p.bucket is not None else base
             self.out_fields.append(pa.field(p.output_name, t))
-        self._fams = ["sawtooth" if i in self._map_part_idx else _family(p)
+        self._fams = ["sawtooth" if i in self._map_part_idx
+                      else _family(p, emit_partials)
                       for i, p in enumerate(parts)]
         if emit_partials:
             from .salting import partial_fields
@@ -422,6 +435,9 @@ class TemporalPartition:
             elif fam == "slice":
                 feature_arrays[p.output_name] = self._slice_feature(
                     p, e_tbl, head_idx, tail_index, self.out_fields[i].type)
+            elif fam == "distinct":
+                feature_arrays[p.output_name] = self._distinct_feature(
+                    p, e_tbl, head_idx, tail_index(p.window))
         if saw_parts:
             saw = self._sawtooth_features(saw_parts, e_tbl, e_key, e_ts, q_key, q_ts)
             feature_arrays.update(saw)
@@ -647,6 +663,65 @@ class TemporalPartition:
             mask=pa.array(mask) if mask.any() else None)
         return list_arr.cast(out_type, safe=False) if list_arr.type != out_type else list_arr
 
+    # ---------------------------------------------------------- distinct
+
+    def _distinct_feature(self, p: AggregationPart, e_tbl, head_idx,
+                          tail_idx) -> pa.Array:
+        """Exact UNIQUE_COUNT of every query's event range [L, R) =
+        [tail_idx, head_idx) in one sweep. An element at event position e
+        whose value last occurred at position prev (−1 if never) counts
+        for query q iff prev < L_q ≤ e < R_q. L and R never decrease over
+        the (key, ts)-sorted queries, so those q form one index range, and
+        a difference array sums all the ranges. A prev in an earlier key
+        lies below every L of e's key, so value codes need no key.
+
+        Null elements are dropped, and NaN list elements as in VectorPyOp;
+        a NaN scalar counts as one value and −0.0 as 0.0 (Python set,
+        pandas and SQL ``count(distinct)`` alike). An empty window, or one
+        with no countable element, gives null."""
+        col = e_tbl[p.input_column]
+        if isinstance(col, pa.ChunkedArray):
+            col = col.combine_chunks()
+        nq = len(head_idx)
+        is_list = pa.types.is_list(col.type) or pa.types.is_large_list(col.type)
+        if is_list:
+            # list_parent_indices would also count the values under null
+            # lists; list_flatten skips them, so repeat the valid lengths
+            lens = pc.fill_null(pc.list_value_length(col), 0) \
+                .to_numpy(zero_copy_only=False)
+            pos = np.repeat(np.arange(len(col), dtype=np.int64), lens)
+            vals = pc.list_flatten(col)
+        else:
+            pos = np.arange(len(col), dtype=np.int64)
+            vals = col
+        if pa.types.is_dictionary(vals.type):
+            vals = vals.cast(vals.type.value_type)
+        keep = pc.is_valid(vals).to_numpy(zero_copy_only=False)
+        if pa.types.is_floating(vals.type):
+            if is_list:
+                keep &= ~np.isnan(vals.to_numpy(zero_copy_only=False))
+            # Arrow encodes −0.0 apart from 0.0; float64 holds every float
+            vals = pc.add(vals.cast(pa.float64()), 0.0)
+        pos = pos[keep]
+        if len(pos) == 0:
+            return pa.nulls(nq, pa.int64())
+        codes = vals.filter(pa.array(keep)).dictionary_encode().indices \
+            .to_numpy(zero_copy_only=False)
+        # stable: each value's positions stay ascending
+        order = np.argsort(codes, kind="stable")
+        codes, e = codes[order], pos[order]
+        prev = np.full(len(e), -1, dtype=np.int64)
+        same = codes[1:] == codes[:-1]
+        prev[1:][same] = e[:-1][same]
+        lo = np.maximum(np.searchsorted(head_idx, e, side="right"),
+                        np.searchsorted(tail_idx, prev, side="right"))
+        hi = np.searchsorted(tail_idx, e, side="right")
+        ok = lo < hi
+        diff = np.bincount(lo[ok], minlength=nq + 1) \
+            - np.bincount(hi[ok], minlength=nq + 1)
+        counts = np.cumsum(diff[:nq])
+        return pa.array(counts, type=pa.int64(), mask=counts == 0)
+
     # ---------------------------------------------------------- sawtooth
 
     def _hop_ir_to_py(self, p: AggregationPart, op: AggOp, row):
@@ -695,12 +770,8 @@ class TemporalPartition:
             else:
                 # raw values + factorized bucket labels — the grouped
                 # partial runs at (key, hop, bucket) granularity and the
-                # dicts are reassembled per (key, hop). force_raw: the
-                # tail/head updates feed RAW values for bucketed parts, so
-                # hop IRs must hold the same representation (codes here
-                # would double-count values seen in both regions)
+                # dicts are reassembled per (key, hop)
                 vals, valid, _ = col_values(replace(p, bucket=None),
-                                            force_raw=True,
                                             allow_explode=False)
                 bcol = e_tbl[p.bucket]
                 if isinstance(bcol, pa.ChunkedArray):
@@ -785,21 +856,15 @@ class TemporalPartition:
         # prepare per-part value accessors (nulls filtered per key slice later)
         col_cache: dict[str, Any] = {}
 
-        def col_values(p: AggregationPart, force_raw: bool = False,
-                       allow_explode: bool = True, with_tb: bool = False):
+        def col_values(p: AggregationPart, allow_explode: bool = True,
+                       with_tb: bool = False):
             """Returns (vals, valid, exploded). exploded=True means vals is
             an object array of per-row element lists — consumers must apply
             per-element updates (VectorPyOp / exploded hop partials).
             with_tb=True (bucketed slice parts under tie_break) zips each
             value with its tie-break cell: (bucket, (value, tb)) pairs for
             TieBreakSliceOp."""
-            # exact UNIQUE_COUNT only needs distinctness, not the values —
-            # dictionary codes stand in for strings (partition-local codes,
-            # so only in finalized mode: partial IRs merge across shards)
-            use_codes = (not force_raw
-                         and p.operation == Operation.UNIQUE_COUNT
-                         and p.bucket is None and not self.emit_partials)
-            key = (p.input_column, p.bucket, use_codes, with_tb)
+            key = (p.input_column, p.bucket, with_tb)
             if key in col_cache:
                 return col_cache[key]
             col = e_tbl[p.input_column]
@@ -839,11 +904,6 @@ class TemporalPartition:
                     # consumers mask by `valid` so the filler is never read
                     col = pc.fill_null(col, 0)
                 vals = col.to_numpy(zero_copy_only=False)
-            elif use_codes and (pa.types.is_string(col.type)
-                                or pa.types.is_large_string(col.type)):
-                idx = col.dictionary_encode().indices
-                vals = pc.fill_null(idx, -1).to_numpy(zero_copy_only=False) \
-                    .astype(np.int64)
             else:
                 vals = np.asarray(col.to_pylist(), dtype=object)
             if with_tb:
@@ -1015,7 +1075,6 @@ def temporal_join(
     daily: bool = False,
     hot_keys=None,
     salt_shards: Optional[int] = None,
-    broadcast_left_keys: Optional[str] = None,
     exact_windows: bool = False,
 ) -> ray.data.Dataset:
     """left (key, ts, ...) ⟕ windowed aggregates of right events, PITC.
@@ -1036,16 +1095,10 @@ def temporal_join(
 
     ``exact_windows=True`` computes per-event exact windows [q.ts - w, q.ts)
     instead of the reference's sawtooth (hop-rounded tail) semantics —
-    prefix/slice families are exact via raw-ts searchsorted, the rest via a
-    per-event TwoStack sweep (TwoStackLiteAggregator at event granularity).
-    Strictly more work than sawtooth; incompatible with daily accuracy.
-
-    ``broadcast_left_keys="bloom"`` drops, before the exchange, the events
-    whose key a bloom filter of the left keys rules out; None ships every
-    event."""
-    if broadcast_left_keys not in (None, "bloom"):
-        raise ValueError("broadcast_left_keys must be None or 'bloom', got "
-                         f"{broadcast_left_keys!r}")
+    prefix/slice/distinct families are exact via raw-ts searchsorted, the
+    rest via a per-event TwoStack sweep (TwoStackLiteAggregator at event
+    granularity). Strictly more work than sawtooth; incompatible with daily
+    accuracy."""
     keys = list(conf.key_columns)
     parts = conf.parts()
     from ..util import dataset_schema, with_schema
@@ -1062,20 +1115,6 @@ def temporal_join(
     right_ds = right_ds.map_batches(
         lambda t, cols=tuple(right_keep): t.select(list(cols)),
         batch_format="pyarrow")
-
-    if broadcast_left_keys == "bloom":
-        # bloom tier (reference spark/JoinBase.scala:304-339 +
-        # Extensions.scala:182-223: bloom semi-join for 5k–1M left rows):
-        # per-block bitmaps are OR-reduced — the left KEY SET is never
-        # collected anywhere, only a fixed-size bit array. False positives
-        # just let some extra events through the shuffle; they match no
-        # query and are harmless to the left-outer result. Materialize the
-        # left once: count() (bit sizing), the bitmap build, and the join
-        # itself would otherwise each re-execute a lazy left pipeline.
-        left_ds = left_ds.materialize()
-        right_ds = _bloom_filter_events(
-            left_ds, right_ds, keys,
-            {k: left_schema.field(k).type for k in keys})
 
     if hot_keys == "auto":
         from .salting import detect_hot_keys
@@ -1121,71 +1160,6 @@ def temporal_join(
     return with_schema(
         unioned.groupby("_part").map_groups(proc, batch_format="pyarrow"),
         out_schema)
-
-
-def _bloom_hashes(t: pa.Table, keys: list, n_bits: int, key_types: dict):
-    """(h1, h2) double-hash bases per row from the CANONICAL key hash —
-    build and probe must hash identical representations: a null-bearing
-    block float-promotes int keys in pandas (hash(5.0) != hash(5)), and a
-    left/right dtype mismatch would likewise turn into bloom false
-    NEGATIVES that silently drop matching events."""
-    kdf = _canon_key_table(t, keys, key_types).to_pandas()
-    h = stable_key_hash(kdf, keys).astype(np.uint64)
-    h1 = h % np.uint64(n_bits)
-    h2 = ((h >> np.uint64(33)) | np.uint64(1)) % np.uint64(n_bits)
-    return h1, h2
-
-
-def _bloom_filter_events(left_ds, right_ds, keys, key_types: dict,
-                         bits_per_key: int = 12,
-                         n_hashes: int = 6):
-    """Semi-join filter on the event stream via a bloom filter of the left
-    key set. Distributed build: each left block emits one fixed-size bitmap
-    (never the keys), OR-reduced on the driver, broadcast once via ray.put.
-    FP rate ≈ 0.5^(n_hashes) ≈ 1.5% at 12 bits/key."""
-    import ray as _ray
-
-    n_rows = max(left_ds.count(), 1)
-    n_bits = 1 << max(20, int(np.ceil(np.log2(n_rows * bits_per_key))))
-    n_words = n_bits // 64
-
-    def block_bitmap(t: pa.Table) -> pa.Table:
-        bm = np.zeros(n_words, dtype=np.uint64)
-        if len(t):
-            h1, h2 = _bloom_hashes(t, keys, n_bits, key_types)
-            for i in range(n_hashes):
-                pos = (h1 + np.uint64(i) * h2) % np.uint64(n_bits)
-                np.bitwise_or.at(bm, (pos >> np.uint64(6)).astype(np.int64),
-                                 np.uint64(1) << (pos & np.uint64(63)))
-        return pa.table({"bm": pa.array([bm.tobytes()], type=pa.binary())})
-
-    bits = np.zeros(n_words, dtype=np.uint64)
-    for b in left_ds.map_batches(block_bitmap,
-                                 batch_format="pyarrow") \
-            .iter_batches(batch_format="pyarrow"):
-        for buf in b["bm"]:
-            bits |= np.frombuffer(buf.as_py(), dtype=np.uint64)
-    bits_ref = _ray.put(bits)
-
-    class _BloomFilter:
-        def __init__(self):
-            self._bits = None
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            if self._bits is None:
-                self._bits = _ray.get(bits_ref)
-            if len(t) == 0:
-                return t
-            h1, h2 = _bloom_hashes(t, keys, n_bits, key_types)
-            mask = np.ones(len(t), dtype=bool)
-            for i in range(n_hashes):
-                pos = (h1 + np.uint64(i) * h2) % np.uint64(n_bits)
-                word = self._bits[(pos >> np.uint64(6)).astype(np.int64)]
-                mask &= ((word >> (pos & np.uint64(63)))
-                         & np.uint64(1)).astype(bool)
-            return t.filter(pa.array(mask))
-
-    return right_ds.map_batches(_BloomFilter(), batch_format="pyarrow")
 
 
 def _salted_temporal_join(left_ds, right_ds, conf, keys, parts, left_schema,

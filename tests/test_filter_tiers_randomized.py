@@ -1,10 +1,9 @@
-"""Randomized cross-tier differential for temporal_join's event-filter
-tiers: OFF (every event enters the exchange) and "bloom" (OR-reduced
-bitmap semi-join) must be BIT-identical on any input — a bloom false
-negative or a key-representation mismatch silently drops matching
-events (the r4 null-promotion campaign found exactly that class at other
-sites). Random op bundles, null keys on both sides, dtype-divergent key
-columns, hot-key salting on top."""
+"""Randomized differential of temporal_join's event routing: the plain
+single-exchange plan and the hot-key salted plan must be BIT-identical on
+any input — a key-representation mismatch in the hot-key probe or the
+partition hash silently drops or misroutes matching events (the r4
+null-promotion campaign found exactly that class at other sites). Random
+op bundles, null keys on both sides, dtype-divergent key columns."""
 
 import numpy as np
 import pandas as pd
@@ -57,8 +56,8 @@ def test_filter_tiers_bit_identical_randomized(ray_session, seed):
     conf = GroupByConf(name=f"tier{seed}", sources=(),
                        key_columns=("user_id",), aggregations=tuple(aggs))
     nq = 200
-    # queries over a SUBSET of keys (so the semi-join actually prunes) and
-    # some keys that never appear in events; a few null-keyed query rows
+    # queries over a SUBSET of keys and some keys that never appear in
+    # events; a few null-keyed query rows
     kmax = int(ev["user_id"].max())
     qk = rng.integers(0, max(2, kmax // 2), size=nq).astype(np.int64)
     q = pd.DataFrame({
@@ -66,22 +65,17 @@ def test_filter_tiers_bit_identical_randomized(ray_session, seed):
         "ts": (BASE + rng.integers(DAY, 20 * DAY, size=nq)).astype(np.int64),
     })
     q.loc[q.index[:3], "user_id"] = pd.NA
-    # null event keys too: removeNulls must behave identically in all tiers
+    # null event keys too: removeNulls must behave identically in both plans
     ev = ev.copy()
     ev["user_id"] = ev["user_id"].astype("Int64")
     ev.loc[ev.index[::97], "user_id"] = pd.NA
 
     evds, qds = _to_ds_nullable(ev), rd.from_pandas(q)
     base = temporal_join(qds, evds, conf, num_partitions=4).to_pandas()
-    bloom = temporal_join(qds, evds, conf, num_partitions=4,
-                          broadcast_left_keys="bloom").to_pandas()
-    _cmp(base, bloom, f"{seed}:bloom")
-    # tiers must also compose with hot-key salting
     hot = [int(ev["user_id"].mode().iloc[0])]
     salted = temporal_join(qds, evds, conf, num_partitions=4,
-                           broadcast_left_keys="bloom", hot_keys=hot,
-                           salt_shards=4).to_pandas()
-    _cmp(base, salted, f"{seed}:bloom+salt")
+                           hot_keys=hot, salt_shards=4).to_pandas()
+    _cmp(base, salted, f"{seed}:salt")
 
 
 def _to_ds_nullable(df):
@@ -104,8 +98,9 @@ def _to_ds_nullable(df):
 
 @pytest.mark.parametrize("seed", [601, 602])
 def test_filter_tiers_dtype_divergent_keys(ray_session, seed):
-    """int32 left keys vs int64 event keys: the bloom hashes must
-    canonicalize, or pruning silently drops every match."""
+    """int32 left keys vs int64 event keys: the hot-key probe and the
+    partition hash must canonicalize, or the salted plan silently drops
+    every match."""
     import pyarrow as pa
 
     from chronon_ray.api import agg as _agg
@@ -131,11 +126,8 @@ def test_filter_tiers_dtype_divergent_keys(ray_session, seed):
     })
     evds, qds = rd.from_pandas(ev), rd.from_arrow(q)
     base = temporal_join(qds, evds, conf, num_partitions=4).to_pandas()
-    bloom = temporal_join(qds, evds, conf, num_partitions=4,
-                          broadcast_left_keys="bloom").to_pandas()
+    hot = [int(ev["user_id"].mode().iloc[0])]
+    salted = temporal_join(qds, evds, conf, num_partitions=4,
+                           hot_keys=hot, salt_shards=4).to_pandas()
     assert base["value_sum_7d"].notna().sum() > 0, "fixture matched nothing"
-    _cmp(base, bloom, f"{seed}:dtype-bloom")
-    # only None and "bloom" select a tier; any other value raises
-    with pytest.raises(ValueError, match="broadcast_left_keys"):
-        temporal_join(qds, evds, conf, num_partitions=4,
-                      broadcast_left_keys=True)
+    _cmp(base, salted, f"{seed}:dtype-salt")

@@ -158,35 +158,6 @@ def test_salted_qid_large_batch(ray_session):
     assert sorted(out["qrow"]) == list(range(n_q))
 
 
-def test_bloom_semi_join_identical(ray_session, sf_dir):
-    """Bloom-tier semi-join must leave the join result bit-identical —
-    false positives only add events that match no query."""
-    from chronon_ray.api import TQuery
-    from chronon_ray.pipelines.temporal import temporal_join
-    from chronon_ray.sources import scan_table
-
-    ev = scan_table(f"{sf_dir}/events.parquet", TQuery(time_column="ts"))
-    left = scan_table(
-        f"{sf_dir}/events.parquet",
-        TQuery.of(selects={"user_id": "user_id", "ts": "ts"},
-                  wheres=[lambda t: pc.equal(t["event_type"], "purchase")]))
-    conf = GroupByConf(
-        name="bl", sources=(), key_columns=("user_id",),
-        aggregations=(agg("value", "sum", [window(7, "d")]),
-                      agg("value", "count", [window(7, "d")])))
-    base = temporal_join(left, ev, conf, num_partitions=8).to_pandas()
-    bloom = temporal_join(left, ev, conf, num_partitions=8,
-                          broadcast_left_keys="bloom").to_pandas()
-    key = ["user_id", "ts"]
-    b1 = base.sort_values(key).reset_index(drop=True)
-    b2 = bloom.sort_values(key).reset_index(drop=True)
-    assert len(b1) == len(b2)
-    for c in b1.columns:
-        a, b = b1[c].astype(float), b2[c].astype(float)
-        assert (a.isna() == b.isna()).all(), c
-        np.testing.assert_allclose(a.fillna(0), b.fillna(0), rtol=0, err_msg=c)
-
-
 def test_sql_expr_selects_wheres_derivations(ray_session, sf_dir, duck):
     """SQL-string expressions evaluated per batch via DuckDB plug into
     selects, wheres and derivations (reference users write SQL strings)."""

@@ -233,32 +233,6 @@ def test_distinct_rows_bool_null_block_stability(ray_session):
     assert len(out) == 3, out  # True, False, null — no dup survives
 
 
-def test_bloom_tier_null_block_no_false_negatives(ray_session):
-    """Regression: the bloom semi-join hashed raw pandas frames, so a
-    null-bearing LEFT block built its bitmap from float-promoted key
-    hashes while clean right blocks probed int hashes — every matching
-    event was filtered out (false negatives → all-null features)."""
-    from chronon_ray.api import UNBOUNDED
-    from chronon_ray.pipelines.temporal import temporal_join
-
-    left = pa.table({
-        "user_id": pa.array([5, 7, None], type=pa.int64()),
-        "ts": pa.array([2_000, 2_000, 2_000], type=pa.int64())})
-    right = pa.table({
-        "user_id": pa.array([5, 5, 7], type=pa.int64()),
-        "ts": pa.array([1_000, 1_500, 1_200], type=pa.int64()),
-        "value": pa.array([1.0, 2.0, 4.0])})
-    conf = GroupByConf(name="bl", sources=(), key_columns=("user_id",),
-                       aggregations=(agg("value", "sum", [UNBOUNDED]),))
-    out = temporal_join(rd.from_arrow(left), rd.from_arrow(right), conf,
-                        num_partitions=8,
-                        broadcast_left_keys="bloom").to_pandas() \
-        .sort_values("user_id").reset_index(drop=True)
-    got = {int(r["user_id"]): r["value_sum"] for _, r in out.iterrows()
-           if pd.notna(r["user_id"])}
-    assert got == {5: 3.0, 7: 4.0}, got
-
-
 @pytest.mark.parametrize("seed", [3, 13, 23, 33, 43])
 def test_snapshot_randomized_vs_bruteforce(ray_session, seed):
     rng = np.random.default_rng(seed)

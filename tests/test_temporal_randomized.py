@@ -22,6 +22,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+import ray
 import ray.data as rd
 
 from chronon_ray.api import GroupByConf, UNBOUNDED, agg, window
@@ -274,3 +275,277 @@ def test_temporal_join_randomized_vs_bruteforce(ray_session, seed):
                     (seed, name, k_, t_, got, expn)
             else:
                 assert got == expn, (seed, name, k_, t_, got, expn)
+
+
+# ---------------------------------------------------------------------------
+# distinct family: exact UNIQUE_COUNT as one sweep over the sorted partition
+
+_DISTINCT_COLS = ("i", "s", "f", "li", "ls", "lf")
+
+
+def _distinct_events(rng, n, keys, days):
+    """Events over two key columns with every UNIQUE_COUNT input kind:
+    scalar int / string / float (NaN, ±0.0), list<int> / list<string> /
+    list<float> (empty, all-null and null lists, null elements, NaN
+    elements, which are skipped); a tie-break column
+    and repeated (key, ts) pairs; a few null-key events (dropped)."""
+    k1 = rng.integers(0, keys, size=n).astype(np.int64)
+    k2 = np.array(["a", "b"])[rng.integers(0, 2, size=n)]
+    ts = BASE + rng.integers(0, days * DAY, size=n).astype(np.int64)
+    ts[1::7] = ts[::7][:len(ts[1::7])]  # equal-ts events, tie-broken
+    k1[1::7] = k1[::7][:len(k1[1::7])]
+    k2[1::7] = k2[::7][:len(k2[1::7])]
+
+    def maybe(v, p=0.1):
+        return None if rng.random() < p else v
+
+    def lst(pool):
+        r = rng.random()
+        if r < 0.06:
+            return None
+        if r < 0.12:
+            return []
+        if r < 0.16:
+            return [None, None]
+        return [maybe(pool(), 0.15) for _ in range(rng.integers(1, 6))]
+
+    fpool = [np.nan, 0.0, -0.0, 1.5, -2.0, 3.25]
+    t = pa.table({
+        "k1": pa.array([maybe(int(x), 0.02) for x in k1], type=pa.int64()),
+        "k2": pa.array(k2.tolist()),
+        "ts": pa.array(ts),
+        "tb": pa.array(rng.permutation(n).astype(np.int64)),
+        "i": pa.array([maybe(int(x)) for x in rng.integers(0, 12, size=n)],
+                      type=pa.int64()),
+        "s": pa.array([maybe(f"s{x}") for x in rng.integers(0, 9, size=n)]),
+        "f": pa.array([maybe(fpool[x]) for x in rng.integers(0, 6, size=n)],
+                      type=pa.float64()),
+        "li": pa.array([lst(lambda: int(rng.integers(0, 15)))
+                        for _ in range(n)], type=pa.list_(pa.int64())),
+        "ls": pa.array([lst(lambda: f"t{rng.integers(0, 15)}")
+                        for _ in range(n)], type=pa.list_(pa.string())),
+        "lf": pa.array([lst(lambda: fpool[rng.integers(0, 6)])
+                        for _ in range(n)], type=pa.list_(pa.float64())),
+    })
+    return t
+
+
+def _distinct_queries(rng, ev: pa.Table, nq, days, keys):
+    ek1 = ev["k1"].to_pylist()
+    ek2 = ev["k2"].to_pylist()
+    ets = ev["ts"].to_pylist()
+    k1 = [ek1[j] if ek1[j] is not None else 0
+          for j in rng.integers(0, len(ev), size=nq)]
+    k2 = [ek2[j] for j in rng.integers(0, len(ev), size=nq)]
+    ts = (BASE + rng.integers(DAY, days * DAY, size=nq)).tolist()
+    j = int(rng.integers(0, len(ev)))
+    k1[0], k2[0], ts[0] = ek1[j] or 0, ek2[j], ets[j]  # query ts == event ts
+    k1[1], k2[1], ts[1] = k1[0], k2[0], ts[0]  # duplicate query
+    k1[2] = keys + 5  # a key no event has
+    k1[3] = None  # null-key query: null features
+    return pa.table({"k1": pa.array(k1, type=pa.int64()),
+                     "k2": pa.array(k2), "ts": pa.array(ts)})
+
+
+def _distinct_oracle(ev: pa.Table, q: pa.Table, col, member):
+    """Brute-force distinct count per query: nulls (and NaN list elements)
+    skipped, scalar NaN one value, −0.0 equal to 0.0; empty → None."""
+    rows = ev.to_pylist()
+    out = []
+    for qr in q.to_pylist():
+        seen = set()
+        for r in rows:
+            if (r["k1"] is None or r["k1"] != qr["k1"]
+                    or r["k2"] != qr["k2"] or not member(r["ts"], qr["ts"])):
+                continue
+            v = r[col]
+            vals = v if isinstance(v, list) else [v]
+            for x in vals:
+                if x is None:
+                    continue
+                if isinstance(x, float):
+                    if x != x:
+                        if isinstance(v, list):
+                            continue
+                        x = "NaN"
+                    else:
+                        x = x + 0.0
+                seen.add(x)
+        out.append(len(seen) or None)
+    return out
+
+
+def _distinct_member(win, exact):
+    if win.unbounded:
+        return lambda e, q: e < q
+    if exact:
+        return lambda e, q: q - win.millis <= e < q
+    hop = tail_hop_millis(win)
+    return lambda e, q: round_ts(q - win.millis, hop) <= e < q
+
+
+@pytest.mark.parametrize("seed,exact,tie", [(71, False, True),
+                                            (72, True, False),
+                                            (73, False, False),
+                                            (74, True, True)])
+def test_distinct_sweep_randomized_vs_bruteforce(ray_session, seed, exact,
+                                                 tie):
+    """The distinct family against the brute-force oracle on every input
+    kind, sawtooth and exact windows (unbounded included), two key columns,
+    with and without a tie_break column."""
+    rng = np.random.default_rng(seed)
+    ev = _distinct_events(rng, n=int(rng.integers(500, 900)), keys=6,
+                          days=20)
+    q = _distinct_queries(rng, ev, nq=120, days=20, keys=6)
+    windows = {"7d": window(7, "d"), "1d": window(1, "d"),
+               "12h": window(12, "h"), "uf": UNBOUNDED}
+    aggs, parts = [], []
+    for c in _DISTINCT_COLS:
+        wn = str(rng.choice(list(windows)))
+        aggs.append(agg(c, "unique_count", [windows[wn], UNBOUNDED]))
+        suffix = "" if wn == "uf" else f"_{wn}"
+        parts.append((f"{c}_unique_count{suffix}", c, windows[wn]))
+        if wn != "uf":
+            parts.append((f"{c}_unique_count", c, UNBOUNDED))
+    conf = GroupByConf(name=f"dc{seed}", sources=(), key_columns=("k1", "k2"),
+                       aggregations=tuple(aggs),
+                       tie_break_column="tb" if tie else None)
+    ds = temporal_join(rd.from_arrow(q), rd.from_arrow(ev), conf,
+                       num_partitions=3, exact_windows=exact)
+    out = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+    assert len(out) == len(q)
+    # equal sort keys are duplicate queries, so row order is then moot
+    by = [("k1", "ascending"), ("k2", "ascending"), ("ts", "ascending")]
+    out = out.sort_by(by, null_placement="at_end")
+    qs = q.sort_by(by, null_placement="at_end")
+    seen_values = 0
+    for name, c, win in parts:
+        exp = _distinct_oracle(ev, qs, c, _distinct_member(win, exact))
+        got = [None if v is None or v != v else int(v)
+               for v in out[name].to_pylist()]
+        assert got == exp, (seed, name, [(j, g, e) for j, (g, e)
+                                         in enumerate(zip(got, exp))
+                                         if g != e][:5])
+        seen_values += sum(1 for v in exp if v)
+    assert seen_values > 0, "fixture matched nothing"
+
+
+def test_distinct_sweep_snapshot_compute_join(ray_session, tmp_path):
+    """SNAPSHOT (daily) accuracy through compute_join: features as of the
+    query's day start, day-rounded tails."""
+    import pyarrow.parquet as pq
+
+    from chronon_ray.api import Accuracy, EventSource, JoinConf, JoinPart, TQuery
+    from chronon_ray.pipelines.joins import compute_join
+
+    rng = np.random.default_rng(75)
+    ev = _distinct_events(rng, n=600, keys=5, days=20)
+    q = _distinct_queries(rng, ev, nq=100, days=20, keys=5)
+    q = q.append_column("qid", pa.array(np.arange(len(q), dtype=np.int64)))
+    pq.write_table(ev, tmp_path / "ev.parquet")
+    pq.write_table(q, tmp_path / "q.parquet")
+    win = window(3, "d")
+    gb = GroupByConf(
+        name="snapdc", sources=(EventSource(table=str(tmp_path / "ev.parquet"),
+                                            query=TQuery()),),
+        key_columns=("k1", "k2"),
+        aggregations=tuple(agg(c, "unique_count", [win, UNBOUNDED])
+                           for c in _DISTINCT_COLS),
+        accuracy=Accuracy.SNAPSHOT)
+    jc = JoinConf(name="jdc", left=EventSource(
+        table=str(tmp_path / "q.parquet"), query=TQuery()),
+        parts=(JoinPart(group_by=gb),))
+    out = compute_join(jc, num_partitions=3).to_pandas() \
+        .sort_values("qid").reset_index(drop=True)
+    assert out["qid"].tolist() == list(range(len(q)))
+
+    def day_member(w):
+        if w.unbounded:
+            return lambda e, t: e < t // DAY * DAY
+        return lambda e, t: t // DAY * DAY - w.millis <= e < t // DAY * DAY
+
+    seen_values = 0
+    for c in _DISTINCT_COLS:
+        for w, suffix in ((win, "_3d"), (UNBOUNDED, "")):
+            exp = _distinct_oracle(ev, q, c, day_member(w))
+            got = [None if pd.isna(v) else int(v)
+                   for v in out[f"snapdc_{c}_unique_count{suffix}"]]
+            assert got == exp, (c, suffix)
+            seen_values += sum(1 for v in exp if v)
+    assert seen_values > 0, "fixture matched nothing"
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_distinct_float_nan_and_signed_zero_vs_duckdb(exact):
+    """A finalized UNIQUE_COUNT over a float column counts NaN once and
+    −0.0 as 0.0, as DuckDB count(distinct) does."""
+    import duckdb
+
+    from chronon_ray.pipelines.temporal import TemporalPartition
+
+    nan = float("nan")
+    ev = pa.table({
+        "user_id": pa.array([1] * 6 + [2] * 3, type=pa.int64()),
+        "ts": pa.array([0, DAY, 2 * DAY, 3 * DAY, 3 * DAY, 3 * DAY,
+                        0, DAY, 2 * DAY], type=pa.int64()),
+        "v": pa.array([nan, nan, 1.0, nan, None, None,
+                       0.0, -0.0, nan], type=pa.float64()),
+    })
+    qts = 3 * DAY + 10
+    q = pa.table({"user_id": pa.array([1, 2], type=pa.int64()),
+                  "ts": pa.array([qts, qts], type=pa.int64())})
+    conf = GroupByConf(name="nanp", sources=(), key_columns=("user_id",),
+                       aggregations=(agg("v", "unique_count",
+                                         [window(14, "d")]),))
+    proc = TemporalPartition(["user_id"], conf.parts(), ev.schema,
+                             ["user_id", "ts"], exact=exact)
+    got = proc.join(q, ev)["v_unique_count_14d"].to_pylist()
+    con = duckdb.connect()
+    con.register("ev", ev)
+    exp = [r[0] for r in con.sql(f"""
+        select count(distinct v) from ev
+        where ts < {qts} and ts >= {qts - 14 * DAY}
+        group by user_id order by user_id""").fetchall()]
+    assert exp == [2, 2]
+    assert got == exp
+
+
+def test_distinct_routing_never_reaches_sawtooth(monkeypatch):
+    """Finalized, un-bucketed UNIQUE_COUNT on scalar and list inputs runs
+    the sweep and never the per-element sawtooth engine; map, bucketed and
+    salted-partial (hot-key) UNIQUE_COUNT still do, so the fast path
+    cannot fall back unnoticed."""
+    from chronon_ray.pipelines import temporal as T
+
+    def boom(*a, **k):
+        raise RuntimeError("sawtooth reached")
+
+    monkeypatch.setattr(T, "sawtooth_one_key", boom)
+    monkeypatch.setattr(T.VectorPyOp, "py_update", boom)
+    rng = np.random.default_rng(5)
+    ev = _distinct_events(rng, n=200, keys=4, days=10)
+    ev = ev.append_column("m", pa.array(
+        [[("a", int(x))] for x in rng.integers(0, 3, size=len(ev))],
+        type=pa.map_(pa.string(), pa.int64())))
+    q = _distinct_queries(rng, ev, nq=30, days=10, keys=4)
+
+    def run(aggs, **kw):
+        conf = GroupByConf(name="rt", sources=(), key_columns=("k1", "k2"),
+                           aggregations=tuple(aggs))
+        proc = T.TemporalPartition(["k1", "k2"], conf.parts(), ev.schema,
+                                   ["k1", "k2", "ts"], **kw)
+        return proc.join(q, ev)
+
+    for exact in (False, True):
+        out = run([agg(c, "unique_count", [window(2, "d"), UNBOUNDED])
+                   for c in _DISTINCT_COLS], exact=exact)
+        assert out.column("li_unique_count_2d").null_count < len(q)
+    for aggs, kw in (
+            ([agg("m", "unique_count", [window(2, "d")])], {}),
+            ([agg("i", "unique_count", [window(2, "d")], bucket="s")], {}),
+            ([agg("li", "unique_count", [window(2, "d")])],
+             {"emit_partials": True}),
+            ([agg("i", "unique_count", [window(2, "d")])],
+             {"emit_partials": True})):
+        with pytest.raises(RuntimeError, match="sawtooth reached"):
+            run(aggs, **kw)
