@@ -660,6 +660,20 @@ class BottomKOp(_KListBase):
 
 # ----------------------------------------------------------- UNIQUE_COUNT
 
+#: the one NaN a UNIQUE_COUNT set holds: a set tells NaN objects apart
+#: (NaN != NaN), and each update or unpickle makes a fresh one
+_NAN = float("nan")
+
+
+def one_nan(s: set) -> set:
+    """``s`` with its float NaNs collapsed into ``_NAN``, as DuckDB
+    ``count(distinct)`` counts them."""
+    nans = [v for v in s if isinstance(v, float) and v != v]
+    if nans and (len(nans) > 1 or nans[0] is not _NAN):
+        s.difference_update(nans)
+        s.add(_NAN)
+    return s
+
 
 @_register
 class UniqueCountOp(AggOp):
@@ -700,6 +714,8 @@ class UniqueCountOp(AggOp):
         return pa.int64()
 
     def py_update(self, ir, v, ts, part):
+        if isinstance(v, float) and v != v:
+            v = _NAN
         if ir is None:
             return {v}
         ir.add(v)
@@ -713,7 +729,7 @@ class UniqueCountOp(AggOp):
             return b
         if b is None:
             return a
-        return a | b
+        return one_nan(a | b)
 
     def py_finalize(self, ir, part):
         return len(ir)

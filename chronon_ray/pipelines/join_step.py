@@ -1,13 +1,16 @@
-"""One co-partitioned plan for a multi-part as-of join.
+"""One co-partitioned plan for an as-of join of one or more parts.
 
 A Join is an as-of join of one left table against the windowed aggregates
 of every joinPart (reference: spark/JoinBase.scala:132-227
 computeJoinOpt). ``join_step`` plans it as ONE exchange, the way LMFAO
 computes a batch of group-by aggregates with shared work. It is the only
-multi-part as-of join plan; its callers are ``joins.compute_join`` (every
-part computed), ``joins.compute_join_bootstrapped`` (every part computed
-where a bootstrap left a gap) and ``backfill.backfill_join`` (per step:
-the parts missing a day computed, the others read from their caches).
+as-of join plan apart from the salted hot-key plan of
+``temporal._salted_temporal_join``; its callers are
+``temporal.temporal_join`` (one computed part), ``joins.compute_join``
+(every part computed), ``joins.compute_join_bootstrapped`` (every part
+computed where a bootstrap left a gap) and ``backfill.backfill_join`` (per
+step: the parts missing a day computed, the others read from their
+caches).
 
 1. the left rows (side 0) and one side per part are tagged: a part that
    must be computed brings its pruned events, a complete part its cached
@@ -31,9 +34,10 @@ the parts missing a day computed, the others read from their caches).
      rows get null features.
 
 The output holds the left rows, keys and ts first, then the other left
-columns, then each part's features, plus the ``FIRST`` flag, which marks
-one row of each (keys, ts): the rows a part cache keeps, however Ray
-splits the blocks.
+columns, then each part's features (``<prefix>_<name>``, the bare name
+under an empty prefix), plus the ``FIRST`` flag, which marks one row of
+each (keys, ts): the rows a part cache keeps, however Ray splits the
+blocks.
 
 Sides are not padded to a union schema: each side keeps its own columns
 (those of part ``i`` namespaced as ``_<i>:<name>``) and the exchange's
@@ -51,7 +55,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from ..api import MILLIS_DAY, Accuracy, GroupByConf
+from ..api import MILLIS_DAY, Accuracy, AggregationPart, GroupByConf
 from ..util import dataset_schema, drop_null_key_rows, with_schema
 from .groupby import canon_key_hash
 from .temporal import TemporalPartition, pruned_events_schema
@@ -70,13 +74,15 @@ class StepPart:
     prefixed feature columns). ``covered`` names the left columns that
     already hold a computed part's features: the part is then asked only
     where one of them is null, and its features come out under their
-    prefixed names plus ``COMPUTED``."""
+    prefixed names plus ``COMPUTED``. ``exact`` computes a computed part
+    over per-event exact windows (``temporal_join(exact_windows=True)``)."""
 
     prefix: str
     conf: GroupByConf
     data: ray.data.Dataset
     computed: bool
     covered: tuple = ()
+    exact: bool = False
 
 
 def uncovered_rows(t: pa.Table, columns: Sequence[str]) -> np.ndarray:
@@ -91,21 +97,38 @@ def uncovered_rows(t: pa.Table, columns: Sequence[str]) -> np.ndarray:
     return need
 
 
-def _part_kernel(gb: GroupByConf, events: pa.Schema) -> TemporalPartition:
+def unique_parts(gb: GroupByConf) -> list[AggregationPart]:
+    """``gb``'s parts, one per output name: identical parts collapse into
+    one, and two different parts under one name raise (``output_name``
+    leaves ``arg_map`` out for every op but the ``_k`` ops)."""
+    by_name: dict[str, AggregationPart] = {}
+    for p in gb.parts():
+        if by_name.setdefault(p.output_name, p) != p:
+            raise ValueError(f"group_by {gb.name}: two different parts "
+                             f"share the output column {p.output_name!r}")
+    return list(by_name.values())
+
+
+def _part_kernel(part: StepPart, events: pa.Schema) -> TemporalPartition:
     """The kernel of a computed part over its pruned ``events``, answering
     queries of (keys, ts, ``_QID``); daily hops for SNAPSHOT accuracy."""
+    gb = part.conf
     return TemporalPartition(
-        list(gb.key_columns), gb.parts(), events,
+        list(gb.key_columns), unique_parts(gb), events,
         [*gb.key_columns, "ts", _QID], tie_break=gb.tie_break_column,
-        daily=gb.accuracy == Accuracy.SNAPSHOT)
+        daily=gb.accuracy == Accuracy.SNAPSHOT, exact=part.exact)
+
+
+def _feature_name(prefix: str, name: str) -> str:
+    return f"{prefix}_{name}" if prefix else name
 
 
 def feature_fields(part: StepPart) -> list[pa.Field]:
     """The prefixed feature fields a computed part adds, typed as its
     ``TemporalPartition`` declares them."""
-    gb = part.conf
-    proc = _part_kernel(gb, pruned_events_schema(gb, dataset_schema(part.data)))
-    return [f.with_name(f"{part.prefix}_{f.name}") for f in proc.out_fields]
+    events = pruned_events_schema(part.conf, dataset_schema(part.data))
+    return [f.with_name(_feature_name(part.prefix, f.name))
+            for f in _part_kernel(part, events).out_fields]
 
 
 def _physical(i: int, name: str) -> str:
@@ -293,9 +316,9 @@ def _plan(left: ray.data.Dataset, left_keys: Sequence[str],
                              + [pa.field("ts", shared["ts"])] + own)
             rename = {**to_left, "ts": "ts",
                       **{f.name: _physical(i, f.name) for f in own}}
-            proc = _part_kernel(gb, events)
+            proc = _part_kernel(part, events)
             suffix = COMPUTED if part.covered else ""
-            feats = [(f.name, f"{part.prefix}_{f.name}{suffix}")
+            feats = [(f.name, _feature_name(part.prefix, f.name) + suffix)
                      for f in proc.out_fields]
             out_fields += [f.with_name(o)
                            for f, (_, o) in zip(proc.out_fields, feats)]

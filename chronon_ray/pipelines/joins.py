@@ -19,6 +19,7 @@ derivations), Ray-Data-first:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,7 +28,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from ..api import GroupByConf, JoinConf
+from ..api import Accuracy, GroupByConf, JoinConf
 from ..sources import (read_parquet as _read_parquet, scan_groupby_events,
                        scan_source)
 from ..util import dataset_schema, map_typed, with_schema
@@ -144,7 +145,6 @@ def snapshot_events_unrolled(
     (distinct keys × requested days) with EOD query timestamps and
     DailyResolution tails."""
     keys = list(conf.key_columns)
-    schema = dataset_schema(events)
     keys_ds = distinct_rows(events, keys, num_partitions)
     eods = {ds_val: (int(pd.Timestamp(ds_val).timestamp()) // 86400 + 1) * MILLIS_DAY
             for ds_val in ds_values}
@@ -165,8 +165,9 @@ def snapshot_events_unrolled(
         return pa.table(cols)
 
     grid = map_typed(keys_ds, explode_days)
-    return temporal_join(grid, events, conf, num_partitions=num_partitions,
-                         right_schema=schema, daily=True)
+    return temporal_join(grid, events,
+                         replace(conf, accuracy=Accuracy.SNAPSHOT),
+                         num_partitions=num_partitions)
 
 
 def left_key_columns(jc: JoinConf) -> list[str]:
@@ -271,13 +272,13 @@ def label_join(
     tie-break columns are negated alongside ts; TOP_K/BOTTOM_K order by
     value and are unaffected.
     """
-    from dataclasses import replace
-
     from ..api import Operation
     from ..util import dataset_schema as _ds
 
     features_schema = features_schema or _ds(features)
     labels_schema = labels_schema or _ds(label_events)
+    # negated time has no day boundaries: label windows stay event-accurate
+    conf = replace(conf, accuracy=Accuracy.TEMPORAL)
 
     _MIRROR = {Operation.FIRST: Operation.LAST,
                Operation.LAST: Operation.FIRST,

@@ -11,10 +11,13 @@ q.ts``).
 Physical plan (canonical, SURVEY.md §7.1 — replaces the reference's Spark
 groupByKey+leftOuterJoin chain with one co-partitioned pass):
 
-1. queries and events are tagged, schema-aligned, unioned;
+1. ``temporal_join`` is a one-part ``join_step`` (pipelines/join_step.py):
+   queries and pruned events are tagged, each side with its own columns,
+   and unioned;
 2. one hash shuffle on ``_part = hash(entity_key) % P`` co-locates every
    key's queries and events (groupby("_part"));
-3. each partition is processed as a whole, **vectorized across keys**:
+3. each partition is processed as a whole by ``TemporalPartition.join``
+   over the distinct (key, ts) queries, **vectorized across keys**:
    events sorted by (key, ts, tie_break) once; per-query window boundaries
    found with a single composite searchsorted (key-code × relative-ts
    encoding); then per aggregation family:
@@ -50,8 +53,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from ..api import AggregationPart, GroupByConf, Operation, Window
-from ..aggregators.ops import OPS, AggOp
+from ..api import Accuracy, AggregationPart, GroupByConf, Operation, Window
+from ..aggregators.ops import OPS, AggOp, one_nan
 from ..windowing.resolution import tail_hop_millis, window_tail
 from ..windowing.sawtooth import sawtooth_one_key
 from .groupby import canon_key_table as _canon_key_table
@@ -724,11 +727,6 @@ class TemporalPartition:
 
     # ---------------------------------------------------------- sawtooth
 
-    def _hop_ir_to_py(self, p: AggregationPart, op: AggOp, row):
-        return ir_rec_to_py(p, op, row)
-
-
-
     def _prebuild_hops(self, saw_parts, e_tbl, e_key, e_ts, col_values):
         """Vectorized per-(key, hop) partial IRs for eligible sawtooth parts
         — replaces the per-event python loop in _build_hops with one grouped
@@ -824,7 +822,7 @@ class TemporalPartition:
                         for c in frame.columns if c != "g"}
             for j in range(len(frame)):
                 rec = {c: lst[j] for c, lst in ir_lists.items()}
-                irs_all[int(gcol[j])] = self._hop_ir_to_py(p, op, rec)
+                irs_all[int(gcol[j])] = ir_rec_to_py(p, op, rec)
             if p.bucket is not None:
                 # collapse (key, hop, bucket) rows → per-(key, hop) dicts
                 nb = len(buniq)
@@ -977,68 +975,6 @@ class TemporalPartition:
         return out
 
 
-
-
-class _TagAlign:
-    """Pad queries/events to the union schema + tag + partition id."""
-
-    def __init__(self, is_q: bool, union_fields: list[pa.Field], keys: Sequence[str],
-                 num_partitions: int):
-        self.is_q = is_q
-        self.union_fields = union_fields
-        self.keys = list(keys)
-        self.num_partitions = num_partitions
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if not self.is_q:
-            # drop null-key EVENTS (reference removeNulls, GroupBy.scala:181)
-            # — otherwise a null-key event would "match" a null-key left row
-            # through factorization. Null-key left rows stay (left-outer, null
-            # features).
-            mask = None
-            for k in self.keys:
-                if k in batch.column_names:
-                    m = pc.is_valid(batch[k])
-                    mask = m if mask is None else pc.and_(mask, m)
-            if mask is not None:
-                batch = batch.filter(mask)
-        n = len(batch)
-        cols = {}
-        for f in self.union_fields:
-            if f.name in batch.column_names:
-                c = batch[f.name]
-                cols[f.name] = c if c.type == f.type else pc.cast(c, f.type)
-            else:
-                cols[f.name] = pa.nulls(n, type=f.type)
-        ftypes = {f.name: f.type for f in self.union_fields}
-        kdf = _canon_key_table(pa.table(cols), self.keys, ftypes).to_pandas()
-        part = (stable_key_hash(kdf, self.keys) % self.num_partitions).astype(np.int64)
-        cols["_part"] = pa.array(part)
-        cols["_is_q"] = pa.array(np.full(n, 1 if self.is_q else 0, dtype=np.int8))
-        return pa.table(cols)
-
-
-def _union_fields(*schemas: pa.Schema) -> list[pa.Field]:
-    out: list[pa.Field] = []
-    seen: set[str] = set()
-    for sch in schemas:
-        for f in sch:
-            if f.name not in seen:
-                seen.add(f.name)
-                out.append(f)
-    return out
-
-
-def _tagged_union(left_ds, right_ds, left_schema, right_schema, part_keys,
-                  num_partitions):
-    fields = _union_fields(left_schema, right_schema)
-    tq = left_ds.map_batches(
-        _TagAlign(True, fields, part_keys, num_partitions), batch_format="pyarrow")
-    te = right_ds.map_batches(
-        _TagAlign(False, fields, part_keys, num_partitions), batch_format="pyarrow")
-    return tq.union(te)
-
-
 def pruned_events_schema(conf: GroupByConf,
                          right_schema: pa.Schema) -> pa.Schema:
     """The event columns ``conf``'s aggregation reads, in event-schema
@@ -1072,15 +1008,18 @@ def temporal_join(
     num_partitions: Optional[int] = DEFAULT_NUM_PARTITIONS,
     left_schema: Optional[pa.Schema] = None,
     right_schema: Optional[pa.Schema] = None,
-    daily: bool = False,
     hot_keys=None,
     salt_shards: Optional[int] = None,
     exact_windows: bool = False,
 ) -> ray.data.Dataset:
-    """left (key, ts, ...) ⟕ windowed aggregates of right events, PITC.
+    """left (key, ts, ...) ⟕ windowed aggregates of right events, PITC:
+    the left columns in left-schema order, then one column per part. A
+    one-part ``join_step`` (``pipelines/join_step.py``), so a SNAPSHOT
+    ``conf.accuracy`` asks at the row's day boundary with daily hops, as
+    in ``compute_join``.
 
-    ``daily=True`` switches tail hops to DailyResolution (SNAPSHOT accuracy —
-    windows must be whole days).
+    ``left_schema``/``right_schema`` declare the inputs' schemas when
+    their plans lost them (``util.dataset_schema``).
 
     ``num_partitions=None`` auto-sizes the exchange from the inputs'
     metadata (``util.auto_partitions``) so partition memory stays bounded
@@ -1097,47 +1036,24 @@ def temporal_join(
     instead of the reference's sawtooth (hop-rounded tail) semantics —
     prefix/slice/distinct families are exact via raw-ts searchsorted, the
     rest via a per-event TwoStack sweep (TwoStackLiteAggregator at event
-    granularity). Strictly more work than sawtooth; incompatible with daily
-    accuracy."""
-    keys = list(conf.key_columns)
-    parts = conf.parts()
-    from ..util import dataset_schema, with_schema
+    granularity). Strictly more work than sawtooth; incompatible with
+    SNAPSHOT accuracy."""
+    from ..util import dataset_schema, map_typed, with_schema
+    from .join_step import StepPart, join_step
 
+    if left_schema is not None:
+        left_ds = with_schema(left_ds, left_schema)
+    if right_schema is not None:
+        right_ds = with_schema(right_ds, right_schema)
     if num_partitions is None:
         from ..util import auto_partitions
 
         num_partitions = auto_partitions(left_ds, right_ds)
-    left_schema = left_schema or dataset_schema(left_ds)
-    right_schema = right_schema or dataset_schema(right_ds)
-    left_cols = list(left_schema.names)
-    right_schema = pruned_events_schema(conf, right_schema)
-    right_keep = right_schema.names
-    right_ds = right_ds.map_batches(
-        lambda t, cols=tuple(right_keep): t.select(list(cols)),
-        batch_format="pyarrow")
-
     if hot_keys == "auto":
         from .salting import detect_hot_keys
 
-        hot_keys = detect_hot_keys(right_ds, keys, num_partitions)
-    # tie_break no longer disables salting for ANY part family:
-    # - plain slice parts carry a (ts, tb) slot through the salted exchange
-    #   (salting.partial_fields);
-    # - bucketed slice parts wrap in TieBreakSliceOp so pickled IRs merge
-    #   by (ts, tb) across shards;
-    # - TOP_K/BOTTOM_K need no carve-out: their payload IS the ordering
-    #   value, so equal-value winners across shards are observationally
-    #   identical and the pickled heap merge is output-deterministic.
-    # map-input parts salt too: their pickled {map_key: IR} partials merge
-    # through MapPyOp in SaltedMerge (partial_fields routes them to the
-    # pkl family), so no carve-out is needed.
-    proc = TemporalPartition(keys, parts, right_schema, left_cols,
-                             tie_break=conf.tie_break_column, daily=daily,
-                             exact=exact_windows)
-    # queries keep their left types (the tagged union lists left fields
-    # first); one typed column per part follows
-    out_schema = pa.schema([left_schema.field(c) for c in left_cols]
-                           + proc.out_fields)
+        hot_keys = detect_hot_keys(right_ds, list(conf.key_columns),
+                                   num_partitions)
     if hot_keys:
         if salt_shards is None:
             # hot-side parallelism = n_hot × shards distinct (key, salt)
@@ -1150,20 +1066,20 @@ def temporal_join(
             cpus = int(_ray.cluster_resources().get("CPU", 8)) \
                 if _ray.is_initialized() else 8
             salt_shards = max(8, _math.ceil(2 * cpus / max(1, len(hot_keys))))
-        return with_schema(_salted_temporal_join(
-            left_ds, right_ds, conf, keys, parts, left_schema, right_schema,
-            left_cols, num_partitions, daily, list(hot_keys), salt_shards,
-            exact=exact_windows), out_schema)
+        return _salted_temporal_join(left_ds, right_ds, conf, num_partitions,
+                                     list(hot_keys), salt_shards,
+                                     exact=exact_windows)
 
-    unioned = _tagged_union(left_ds, right_ds, left_schema, right_schema,
-                            keys, num_partitions)
-    return with_schema(
-        unioned.groupby("_part").map_groups(proc, batch_format="pyarrow"),
-        out_schema)
+    left_names = dataset_schema(left_ds).names
+    out = join_step(left_ds, conf.key_columns,
+                    [StepPart("", conf, right_ds, True, exact=exact_windows)],
+                    num_partitions)
+    # join_step puts the keys and ts first and ends with its FIRST flag
+    order = (*left_names, *dataset_schema(out).names[len(left_names):-1])
+    return map_typed(out, lambda t, cols=order: t.select(list(cols)))
 
 
-def _salted_temporal_join(left_ds, right_ds, conf, keys, parts, left_schema,
-                          right_schema, left_cols, num_partitions, daily,
+def _salted_temporal_join(left_ds, right_ds, conf, num_partitions,
                           hot_keys: list, salt_shards: int,
                           exact: bool = False):
     """Single-pass salted plan: ONE scan of each input, ONE sort exchange.
@@ -1179,11 +1095,23 @@ def _salted_temporal_join(left_ds, right_ds, conf, keys, parts, left_schema,
     plan scanned, tagged and sorted the full event stream twice."""
     import uuid
 
+    from ..util import dataset_schema, drop_null_key_rows, with_schema
+    from .join_step import unique_parts
     from .salting import SaltedMerge, partial_fields
 
+    if conf.accuracy == Accuracy.SNAPSHOT:
+        raise NotImplementedError(
+            "hot-key salting of a SNAPSHOT-accuracy conf is unsupported")
+    keys = list(conf.key_columns)
+    parts = unique_parts(conf)
+    left_schema = dataset_schema(left_ds)
+    left_cols = list(left_schema.names)
+    right_schema = pruned_events_schema(conf, dataset_schema(right_ds))
     S = salt_shards
 
-    fields = _union_fields(left_schema, right_schema)
+    # the left's fields, then the events' own: the padded union schema
+    fields = [*left_schema, *(f for f in right_schema
+                              if f.name not in left_schema.names)]
     _ftypes = {f.name: f.type for f in fields}
     # the hot-key probe and all partition hashing run on the UNION key
     # types so cross-dtype left/right keys classify and partition alike.
@@ -1202,12 +1130,6 @@ def _salted_temporal_join(left_ds, right_ds, conf, keys, parts, left_schema,
                        pa.field("_qid_lo", pa.int64()),
                        pa.field("_salt", pa.int8())]
 
-    def _hot_idx(t: pa.Table) -> np.ndarray:
-        kdf = _canon_key_table(t, keys, _ftypes).to_pandas()
-        h = stable_key_hash(kdf, keys).view(np.int64)
-        return pc.index_in(pa.array(h), value_set=hot_hash_arr) \
-            .to_numpy(zero_copy_only=False)
-
     def _pad(t: pa.Table, extra: dict, is_q: int) -> pa.Table:
         n = len(t)
         cols = {}
@@ -1223,25 +1145,25 @@ def _salted_temporal_join(left_ds, right_ds, conf, keys, parts, left_schema,
         cols["_is_q"] = pa.array(np.full(n, is_q, dtype=np.int8))
         return pa.table(cols)
 
-    def tag_left(t: pa.Table) -> pa.Table:
-        hi = _hot_idx(t)
+    def tag(t: pa.Table, is_q: int) -> pa.Table:
+        if not is_q:
+            t = drop_null_key_rows(t, keys)  # reference removeNulls
+        h = stable_key_hash(_canon_key_table(t, keys, _ftypes).to_pandas(),
+                            keys)
+        hi = pc.index_in(pa.array(h.view(np.int64)),
+                         value_set=hot_hash_arr).to_numpy(zero_copy_only=False)
         hot_mask = ~pd.isna(hi)
-        cold_t = t.filter(pa.array(~hot_mask))
+        cold = ~hot_mask
         hot_t = t.filter(pa.array(hot_mask))
-        outs = []
-        if len(cold_t):
-            kdf = _canon_key_table(cold_t, keys, _ftypes).to_pandas()
-            part = (stable_key_hash(kdf, keys)
-                    % num_partitions).astype(np.int64)
-            outs.append(_pad(cold_t, {
-                "_part": pa.array(part),
-                "_salt": pa.array(np.full(len(cold_t), -1, dtype=np.int8)),
-            }, is_q=1))
-        if len(hot_t):
+        outs = [_pad(t.filter(pa.array(cold)), {
+            "_part": pa.array((h[cold] % num_partitions).astype(np.int64)),
+            "_salt": pa.array(np.full(int(cold.sum()), -1, dtype=np.int8)),
+        }, is_q)]
+        n = len(hot_t)
+        idx = hi[hot_mask].astype(np.int64)
+        if n and is_q:
             # replicate hot queries to every salt shard with collision-free
             # (_qid_hi random-63-bit batch id, _qid_lo dense ordinal) ids
-            n = len(hot_t)
-            idx = hi[hot_mask].astype(np.int64)
             base = uuid.uuid4().int & ((1 << 63) - 1)
             rep = pa.table({
                 c: pa.concat_arrays(
@@ -1257,58 +1179,30 @@ def _salted_temporal_join(left_ds, right_ds, conf, keys, parts, left_schema,
                 "_qid_hi": pa.array(
                     np.full(n * S, base, dtype=np.uint64).view(np.int64)),
                 "_qid_lo": pa.array(np.tile(np.arange(n, dtype=np.int64), S)),
-            }, is_q=1))
-        if not outs:
-            return _pad(t.slice(0, 0),
-                        {"_part": pa.array([], type=pa.int64())}, is_q=1)
-        return pa.concat_tables(outs)
-
-    tag_left.__name__ = "salt_tag_left"
-
-    def tag_events(t: pa.Table) -> pa.Table:
-        # drop null-key events (reference removeNulls)
-        m = pc.is_valid(t[keys[0]])
-        for k2 in keys[1:]:
-            m = pc.and_(m, pc.is_valid(t[k2]))
-        t = t.filter(m)
-        hi = _hot_idx(t)
-        hot_mask = ~pd.isna(hi)
-        cold_t = t.filter(pa.array(~hot_mask))
-        hot_t = t.filter(pa.array(hot_mask))
-        outs = []
-        if len(cold_t):
-            kdf = _canon_key_table(cold_t, keys, _ftypes).to_pandas()
-            part = (stable_key_hash(kdf, keys)
-                    % num_partitions).astype(np.int64)
-            outs.append(_pad(cold_t, {
-                "_part": pa.array(part),
-                "_salt": pa.array(np.full(len(cold_t), -1, dtype=np.int8)),
-            }, is_q=0))
-        if len(hot_t):
-            n = len(hot_t)
-            idx = hi[hot_mask].astype(np.int64)
-            salt = (np.arange(n, dtype=np.int64) % S)
-            part = num_partitions + idx * S + salt
+            }, is_q))
+        elif n:
+            salt = np.arange(n, dtype=np.int64) % S
             outs.append(_pad(hot_t, {
-                "_part": pa.array(part),
+                "_part": pa.array(num_partitions + idx * S + salt),
                 "_salt": pa.array(salt.astype(np.int8)),
-            }, is_q=0))
-        if not outs:
-            return _pad(t.slice(0, 0),
-                        {"_part": pa.array([], type=pa.int64())}, is_q=0)
+            }, is_q))
         return pa.concat_tables(outs)
 
-    tag_events.__name__ = "salt_tag_events"
+    def salt_tag_left(t: pa.Table) -> pa.Table:
+        return tag(t, 1)
 
-    unioned = left_ds.map_batches(tag_left, batch_format="pyarrow").union(
-        right_ds.map_batches(tag_events, batch_format="pyarrow"))
+    def salt_tag_events(t: pa.Table) -> pa.Table:
+        return tag(t, 0)
+
+    unioned = left_ds.map_batches(salt_tag_left, batch_format="pyarrow").union(
+        right_ds.map_batches(salt_tag_events, batch_format="pyarrow"))
 
     cold_proc = TemporalPartition(keys, parts, right_schema, left_cols,
-                                  tie_break=conf.tie_break_column, daily=daily,
+                                  tie_break=conf.tie_break_column,
                                   exact=exact)
     hot_proc = TemporalPartition([*keys, "_salt"], parts, right_schema,
                                  [*left_cols, "_qid_hi", "_qid_lo"],
-                                 tie_break=conf.tie_break_column, daily=daily,
+                                 tie_break=conf.tie_break_column,
                                  emit_partials=True, exact=exact)
     final_fields = cold_proc.out_fields
     part_fields = partial_fields(
@@ -1380,9 +1274,10 @@ def _salted_temporal_join(left_ds, right_ds, conf, keys, parts, left_schema,
                                 right_schema.field(p.input_column).type))),
             batch_format="pandas")
 
-    return cold_rows.union(
+    return with_schema(cold_rows.union(
         merged.map_batches(lambda t: t.select(final_order),
-                           batch_format="pyarrow"))
+                           batch_format="pyarrow")),
+        pa.schema([*left_schema, *final_fields]))
 
 
 def ir_rec_to_py(p: AggregationPart, op: AggOp, row):
@@ -1394,7 +1289,7 @@ def ir_rec_to_py(p: AggregationPart, op: AggOp, row):
         return row["x"]
     if o == Operation.UNIQUE_COUNT:
         u = row["uniq"]
-        return set(u.tolist() if isinstance(u, np.ndarray) else u)
+        return one_nan(set(u.tolist() if isinstance(u, np.ndarray) else u))
     if o == Operation.HISTOGRAM:
         h = row["hist"]
         return dict(h)

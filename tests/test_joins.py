@@ -72,6 +72,40 @@ def test_compute_join_two_parts(ray_session, duck, sf_dir):
     np.testing.assert_array_equal(got_cnt, exp["cnt"].astype(int))
 
 
+def test_compute_join_one_column_per_output_name(ray_session, tmp_path):
+    """Identical parts under one output name collapse into one column;
+    two different parts under one name (``output_name`` leaves the
+    percentiles out) raise at plan time."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    day = 86_400_000
+    pq.write_table(pa.table({"g": ["a", "a", "b"],
+                             "ts": pa.array([day, 2 * day, day], pa.int64()),
+                             "v": [1.0, 2.0, 4.0]}), tmp_path / "ev.parquet")
+    pq.write_table(pa.table({"g": ["a", "b", "c"],
+                             "ts": pa.array([3 * day] * 3, pa.int64())}),
+                   tmp_path / "q.parquet")
+
+    def conf(*aggs):
+        gb = GroupByConf(name="p", key_columns=("g",), aggregations=aggs,
+                         sources=(EventSource(
+                             table=str(tmp_path / "ev.parquet")),))
+        return JoinConf(name="dup", parts=(JoinPart(group_by=gb),),
+                        left=EventSource(table=str(tmp_path / "q.parquet")))
+
+    out = compute_join(conf(agg("v", "sum", [UNBOUNDED, UNBOUNDED])),
+                       num_partitions=2).to_pandas().sort_values("g")
+    assert list(out.columns) == ["g", "ts", "p_v_sum"]
+    assert out["p_v_sum"].tolist()[:2] == [3.0, 4.0]
+    assert out["p_v_sum"].isna().tolist() == [False, False, True]
+    with pytest.raises(ValueError, match="v_approx_percentile"):
+        compute_join(conf(agg("v", "approx_percentile", [UNBOUNDED],
+                              percentiles="0.5"),
+                          agg("v", "approx_percentile", [UNBOUNDED],
+                              percentiles="0.9")), num_partitions=2)
+
+
 def test_snapshot_unrolled_vs_duckdb(ray_session, duck, sf_dir):
     """EOD-accurate multi-day groupby: value per (user, ds) for 3 days."""
     ev = scan_table(f"{sf_dir}/events.parquet", TQuery(time_column="ts"))

@@ -6,9 +6,9 @@ to write data:
 
 1. a ``backfill_join`` step of 3 or 5 parts and an incremental run are
    one execution each: one exchange whose write tasks write every
-   target; ``compute_join`` is one exchange, and a bootstrapped join one
-   more for its bootstrap merge; sizing an exchange executes nothing
-   (counted with a Ray Data execution callback);
+   target; ``compute_join`` and ``temporal_join`` are one exchange, and a
+   bootstrapped join one more for its bootstrap merge; sizing an exchange
+   executes nothing (counted with a Ray Data execution callback);
 2. the declared schema equals the executed one, for non-empty and zero-row
    inputs alike, and ``write_partitioned`` raises on a wrong one — for a
    step, before any target is written; only files a write task returned
@@ -202,6 +202,22 @@ def test_compute_join_runs_one_exchange(tables):
     for jc in (three, mixed):
         with count_executions() as cb:
             out = compute_join(jc, num_partitions=4).materialize()
+        assert out.count() > 0
+        assert cb.n == 1 and cb.kinds == [(1, False)]
+
+
+def test_temporal_join_runs_one_exchange(tables):
+    """A TEMPORAL and a SNAPSHOT conf, each one execution of one
+    exchange."""
+    from chronon_ray.api import Accuracy
+    from chronon_ray.pipelines.temporal import temporal_join
+
+    gb = _parts(tables["events"])[0]
+    for conf in (gb, dataclasses.replace(gb, accuracy=Accuracy.SNAPSHOT)):
+        with count_executions() as cb:
+            out = temporal_join(_scan(tables, "queries", False),
+                                _events(tables, False), conf,
+                                num_partitions=4).materialize()
         assert out.count() > 0
         assert cb.n == 1 and cb.kinds == [(1, False)]
 

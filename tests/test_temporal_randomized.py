@@ -431,8 +431,9 @@ def test_distinct_sweep_randomized_vs_bruteforce(ray_session, seed, exact,
 
 
 def test_distinct_sweep_snapshot_compute_join(ray_session, tmp_path):
-    """SNAPSHOT (daily) accuracy through compute_join: features as of the
-    query's day start, day-rounded tails."""
+    """SNAPSHOT (daily) accuracy through compute_join and through
+    temporal_join with the same conf: features as of the query's day
+    start, day-rounded tails."""
     import pyarrow.parquet as pq
 
     from chronon_ray.api import Accuracy, EventSource, JoinConf, JoinPart, TQuery
@@ -455,24 +456,27 @@ def test_distinct_sweep_snapshot_compute_join(ray_session, tmp_path):
     jc = JoinConf(name="jdc", left=EventSource(
         table=str(tmp_path / "q.parquet"), query=TQuery()),
         parts=(JoinPart(group_by=gb),))
-    out = compute_join(jc, num_partitions=3).to_pandas() \
-        .sort_values("qid").reset_index(drop=True)
-    assert out["qid"].tolist() == list(range(len(q)))
+    outs = {"snapdc_": compute_join(jc, num_partitions=3),
+            "": temporal_join(rd.from_arrow(q), rd.from_arrow(ev), gb,
+                              num_partitions=3)}
 
     def day_member(w):
         if w.unbounded:
             return lambda e, t: e < t // DAY * DAY
         return lambda e, t: t // DAY * DAY - w.millis <= e < t // DAY * DAY
 
-    seen_values = 0
-    for c in _DISTINCT_COLS:
-        for w, suffix in ((win, "_3d"), (UNBOUNDED, "")):
-            exp = _distinct_oracle(ev, q, c, day_member(w))
-            got = [None if pd.isna(v) else int(v)
-                   for v in out[f"snapdc_{c}_unique_count{suffix}"]]
-            assert got == exp, (c, suffix)
-            seen_values += sum(1 for v in exp if v)
-    assert seen_values > 0, "fixture matched nothing"
+    for prefix, ds in outs.items():
+        out = ds.to_pandas().sort_values("qid").reset_index(drop=True)
+        assert out["qid"].tolist() == list(range(len(q)))
+        seen_values = 0
+        for c in _DISTINCT_COLS:
+            for w, suffix in ((win, "_3d"), (UNBOUNDED, "")):
+                exp = _distinct_oracle(ev, q, c, day_member(w))
+                got = [None if pd.isna(v) else int(v)
+                       for v in out[f"{prefix}{c}_unique_count{suffix}"]]
+                assert got == exp, (prefix, c, suffix)
+                seen_values += sum(1 for v in exp if v)
+        assert seen_values > 0, "fixture matched nothing"
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -508,6 +512,45 @@ def test_distinct_float_nan_and_signed_zero_vs_duckdb(exact):
         group by user_id order by user_id""").fetchall()]
     assert exp == [2, 2]
     assert got == exp
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_unique_count_nan_plain_salted_bucketed_vs_duckdb(ray_session,
+                                                          exact):
+    """UNIQUE_COUNT over a float column counts NaN once on every path: the
+    plain distinct sweep, the salted (hot-key) path, whose shard sets are
+    pickled and merged, and a bucketed part on the sawtooth engine, as
+    DuckDB count(distinct) does."""
+    import duckdb
+
+    nan = float("nan")
+    ev = pa.table({
+        "user_id": pa.array([1] * 4, type=pa.int64()),
+        "ts": pa.array([0, DAY, 2 * DAY, 3 * DAY], type=pa.int64()),
+        "x": pa.array([nan, nan, 1.0, nan], type=pa.float64()),
+        "b": pa.array(["u"] * 4),
+    })
+    qts = 3 * DAY + 10
+    q = pa.table({"user_id": pa.array([1], type=pa.int64()),
+                  "ts": pa.array([qts], type=pa.int64())})
+    con = duckdb.connect()
+    con.register("ev", ev)
+    (exp,), = con.sql(f"""select count(distinct x) from ev
+        where ts < {qts} and ts >= {qts - 14 * DAY}""").fetchall()
+    assert exp == 2
+
+    def run(buckets=None, **kw):
+        conf = GroupByConf(name="nan", sources=(), key_columns=("user_id",),
+                           aggregations=(agg("x", "unique_count",
+                                             [window(14, "d")],
+                                             buckets=buckets),))
+        out = temporal_join(rd.from_arrow(q), rd.from_arrow(ev), conf,
+                            num_partitions=2, exact_windows=exact, **kw)
+        return out.to_pandas().iloc[0][conf.parts()[0].output_name]
+
+    assert run() == exp
+    assert run(hot_keys=[1], salt_shards=2) == exp
+    assert [tuple(kv) for kv in run(buckets=["b"])] == [("u", exp)]
 
 
 def test_distinct_routing_never_reaches_sawtooth(monkeypatch):
