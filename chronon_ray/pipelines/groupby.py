@@ -96,9 +96,9 @@ def left_field_type(left_fields, name: str):
 
 def left_column_array(left_fields, name: str, vals: list) -> pa.Array:
     """Left/passthrough column values → Arrow, cast back to the declared
-    query schema (NaN→null via from_pandas; integral float64 — the pandas
-    null-padded-union promotion — casts back safely). Shared by the serve
-    and mutation-replay partitions."""
+    query schema (NaN→null via from_pandas; integral float64 — pandas
+    promotes an int column holding a null — casts back safely). Shared by
+    the serve and mutation-replay partitions."""
     import pyarrow.compute as pc
 
     arr = pa.array(vals, from_pandas=True)

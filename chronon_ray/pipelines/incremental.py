@@ -6,10 +6,10 @@ plus day D's head events, and ck@D = merge(ck@D−1, upload(day D−1
 events)). ``roll_serve_run`` plans a run of consecutive days as ONE
 exchange (the way ``join_step`` plans a Join backfill step):
 
-1. three sides are tagged (``join_step._TagAlignStep``) and hashed on the
-   keys with the canonical key hash: the left rows of the run (side 0),
-   the run's events (side 1, read once over [lo, last]) and, when one
-   exists, the base checkpoint (side 2);
+1. three sides are co-partitioned on the keys
+   (``pipelines/copartition.py``): the left rows of the run (side 0), the
+   run's events (side 1, read once over [lo, last]) and, when one exists,
+   the base checkpoint (side 2);
 2. per partition, ``RollServeRun`` walks the days in order. ck@first is
    the base (``"cached"``), the base ck@first−1 rolled one day
    (``"rolled"``), or a merge from nothing over the lookback events
@@ -38,14 +38,13 @@ import ray.data
 
 from ..api import GroupByConf
 from ..state.partitions import shift_ds
-from ..util import dataset_schema, with_schema
-from .join_step import _PART, _SRC, _TagAlignStep
+from ..util import dataset_schema
+from .copartition import Side, copartition, side
 from .upload import CheckpointAgg, _ServePartition, _add_bucket_maps
 
 #: output column: the day of a checkpoint row (null on output rows)
 CK_DAY = "_ck_day"
 _MS_DAY = 86_400_000
-_SIDE_PREFIX = {1: "_1:", 2: "_2:"}
 
 
 def _ck(name: str) -> str:
@@ -115,17 +114,6 @@ class RollServeRun:
              pa.field(CK_DAY, pa.string()),
              *(f.with_name(_ck(f.name)) for f in ck_schema)])
 
-    def _side(self, tbl: pa.Table, src: np.ndarray, i: int,
-              schema: pa.Schema) -> pa.Table:
-        rows = src == i
-        if not rows.any():  # the side's columns may be absent altogether
-            return schema.empty_table()
-        pre = _SIDE_PREFIX.get(i)
-        names = [n if pre is None or n in self.ir.keys else pre + n
-                 for n in schema.names]
-        return tbl.filter(pa.array(rows)).select(names).rename_columns(
-            schema.names)
-
     def _roll(self, base: Optional[pa.Table], events: pa.Table,
               end: int) -> pa.Table:
         """The checkpoint at ``end``: ``base`` merged with the partials
@@ -138,12 +126,11 @@ class RollServeRun:
         return self.ir.merge(rows.to_pandas(), end, True)
 
     def __call__(self, tbl: pa.Table) -> pa.Table:
-        src = tbl[_SRC].to_numpy(zero_copy_only=False)
-        left = self._side(tbl, src, 0, self.left_schema)
-        events = self._side(tbl, src, 1, self.ev_schema)
+        left = side(tbl, 0, self.left_schema)
+        events = side(tbl, 1, self.ev_schema)
         base = None
         if self.base_schema is not None:
-            base = self._side(tbl, src, 2, self.base_schema)
+            base = side(tbl, 2, self.base_schema)
             if pc.any(pc.invert(base["_full_hops"])).as_py():
                 raise ValueError(
                     "backfill_incremental needs checkpoints built with "
@@ -220,34 +207,16 @@ def roll_serve_run(left: ray.data.Dataset, events: ray.data.Dataset,
                          "left table: output days are its partitions")
     ev_schema = dataset_schema(events)
     shared = {k: left_schema.field(k).type for k in keys}
-    base_schema = None if base is None else dataset_schema(base)
-    ck_key = ev_schema if base is None else base_schema
+    sides = [Side(left, left_schema), Side(events, ev_schema)]
+    if base is not None:
+        sides.append(Side(base, dataset_schema(base)))
+    ck_key = sides[-1].schema  # the base's, else the events'
     ck_schema = CheckpointAgg(conf, ev_schema, {
         k: ck_key.field(k).type for k in keys}).empty().schema
-
-    def tag(ds: ray.data.Dataset, src: int, schema: pa.Schema,
-            is_events: bool) -> ray.data.Dataset:
-        pre = _SIDE_PREFIX.get(src)
-        rename = {n: n if pre is None or n in keys else pre + n
-                  for n in schema.names}
-        return ds.map_batches(
-            _TagAlignStep(src, rename, shared, keys, num_partitions,
-                          events=is_events),
-            batch_format="pyarrow")
-
-    def keyed(schema: pa.Schema) -> pa.Schema:
-        """A side's schema after the tag cast its keys."""
-        return pa.schema([f.with_type(shared[f.name]) if f.name in shared
-                          else f for f in schema])
-
-    sides = [tag(left, 0, left_schema, False), tag(events, 1, ev_schema, True)]
-    if base is not None:
-        sides.append(tag(base, 2, base_schema, False))
     ends = [int(pd.Timestamp(d).value // 10**6) for d in days]
-    kernel = RollServeRun(conf, left_schema, keyed(ev_schema), ck_schema,
-                          None if base is None else keyed(base_schema),
+    kernel = RollServeRun(conf, left_schema, sides[1].own(shared), ck_schema,
+                          None if base is None else sides[2].own(shared),
                           days, ends, how, ck_days)
-    unioned = sides[0].union(*sides[1:])
-    return (with_schema(unioned.groupby(_PART).map_groups(
-        kernel, batch_format="pyarrow"), kernel.out_schema),
-        pa.schema([*left_schema, *kernel.serve.out_fields]), ck_schema)
+    return (copartition(sides, shared, keys, num_partitions, kernel,
+                        kernel.out_schema),
+            pa.schema([*left_schema, *kernel.serve.out_fields]), ck_schema)

@@ -12,12 +12,12 @@ computed where a bootstrap left a gap) and ``backfill.backfill_join`` (per
 step: the parts missing a day computed, the others read from their
 caches).
 
-1. the left rows (side 0) and one side per part are tagged: a part that
-   must be computed brings its pruned events, a complete part its cached
-   feature rows;
-2. every side is hashed on the shared left keys with the canonical key
-   hash of the temporal join, the sides are unioned and grouped on the
-   partition id;
+1. the left rows (side 0) and one side per part are co-partitioned on
+   the left keys (``pipelines/copartition.py``): a part that must be
+   computed brings its pruned events, a complete part its cached feature
+   rows, each with its keys renamed to the left's and its keys and ts cast
+   to the left's types;
+2. the sides are unioned and grouped on the partition id;
 3. per partition, ``StepTemporalPartition`` factorizes (keys, ts) once,
    null-safe — that is the distinct — asks each computed part's
    ``TemporalPartition`` one query per distinct (keys, ts), attaches each
@@ -38,10 +38,6 @@ columns, then each part's features (``<prefix>_<name>``, the bare name
 under an empty prefix), plus the ``FIRST`` flag, which marks one row of
 each (keys, ts): the rows a part cache keeps, however Ray splits the
 blocks.
-
-Sides are not padded to a union schema: each side keeps its own columns
-(those of part ``i`` namespaced as ``_<i>:<name>``) and the exchange's
-merge fills the other sides' columns with nulls.
 """
 
 from __future__ import annotations
@@ -56,15 +52,15 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..api import MILLIS_DAY, Accuracy, AggregationPart, GroupByConf
-from ..util import dataset_schema, drop_null_key_rows, with_schema
-from .groupby import canon_key_hash
+from ..util import dataset_schema
+from .copartition import Side, group, side, tag
 from .temporal import TemporalPartition, pruned_events_schema
 
 #: output flag: the first left row of its (keys, ts)
 FIRST = "_first"
 #: suffix of a covered part's features, beside the left's own columns
 COMPUTED = "__c"
-_SRC, _PART, _QID = "_src", "_part", "_qid"
+_QID = "_qid"
 
 
 @dataclass(frozen=True)
@@ -131,42 +127,6 @@ def feature_fields(part: StepPart) -> list[pa.Field]:
             for f in _part_kernel(part, events).out_fields]
 
 
-def _physical(i: int, name: str) -> str:
-    return f"_{i}:{name}"
-
-
-class _TagAlignStep:
-    """Tag one side of a join step (or of an incremental run,
-    ``pipelines/incremental.py``): keep and rename its columns, cast the
-    shared key and ts columns to the left's types, drop null-key events
-    (reference removeNulls, GroupBy.scala:181 — null-key left rows stay
-    and get null features) and add the partition id and side tag."""
-
-    def __init__(self, src: int, rename: dict, shared_types: dict,
-                 hash_keys: Sequence[str], num_partitions: int,
-                 events: bool):
-        self.src = src
-        self.rename = rename  # source column → column crossing the exchange
-        self.shared_types = shared_types
-        self.hash_keys = list(hash_keys)
-        self.num_partitions = num_partitions
-        self.events = events
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        t = batch.select(list(self.rename)).rename_columns(
-            list(self.rename.values()))
-        for name, typ in self.shared_types.items():
-            if t.schema.field(name).type != typ:
-                t = t.set_column(t.column_names.index(name), name,
-                                 pc.cast(t[name], typ))
-        if self.events:
-            t = drop_null_key_rows(t, self.hash_keys)
-        part = canon_key_hash(t, self.hash_keys, self.shared_types,
-                              self.num_partitions)
-        return t.append_column(_PART, pa.array(part)).append_column(
-            _SRC, pa.array(np.full(len(t), self.src, dtype=np.int8)))
-
-
 @dataclass(frozen=True)
 class _KernelPart:
     src: int
@@ -187,23 +147,12 @@ class StepTemporalPartition:
         self.parts = list(parts)
         self.out_schema = out_schema
 
-    def _side(self, tbl: pa.Table, src: np.ndarray, i: int,
-              schema: pa.Schema) -> pa.Table:
-        rows = src == i
-        if not rows.any():  # the side's columns may be absent altogether
-            return schema.empty_table()
-        names = [n if i == 0 or n in self.keys else _physical(i, n)
-                 for n in schema.names]
-        return tbl.filter(pa.array(rows)).select(names).rename_columns(
-            schema.names)
-
     def __call__(self, tbl: pa.Table) -> pa.Table:
-        src = tbl[_SRC].to_numpy(zero_copy_only=False)
-        left = self._side(tbl, src, 0, self.left_schema)
+        left = side(tbl, 0, self.left_schema)
         n_left = len(left)
         if n_left == 0:
             return self.out_schema.empty_table()
-        cached = [(p, self._side(tbl, src, p.src, p.schema))
+        cached = [(p, side(tbl, p.src, p.schema))
                   for p in self.parts if p.proc is None]
         tables = [left, *(t for _, t in cached)]
         codes = _row_codes([pa.chunked_array([c for t in tables
@@ -228,7 +177,7 @@ class StepTemporalPartition:
         for p in self.parts:
             if p.proc is not None:
                 # back to the part's own key names
-                e = self._side(tbl, src, p.src, p.schema).rename_columns(
+                e = side(tbl, p.src, p.schema).rename_columns(
                     [*p.proc.keys, *p.schema.names[len(p.proc.keys):]])
                 t, row = self._ask(p, left, lcodes, queries, e)
             else:
@@ -297,10 +246,7 @@ def _plan(left: ray.data.Dataset, left_keys: Sequence[str],
     hash_keys = list(left_keys) or keys  # a join without parts
     left_schema = dataset_schema(left)
     shared = {k: left_schema.field(k).type for k in keys}
-    tagged = [left.map_batches(
-        _TagAlignStep(0, {n: n for n in left_schema.names}, shared,
-                      hash_keys, num_partitions, events=False),
-        batch_format="pyarrow")]
+    sides = [Side(left, left_schema)]
     kernel_parts = []
     out_fields = [left_schema.field(k) for k in keys] + [
         f for f in left_schema if f.name not in keys]
@@ -309,13 +255,10 @@ def _plan(left: ray.data.Dataset, left_keys: Sequence[str],
         schema = dataset_schema(part.data)
         if part.computed:
             events = pruned_events_schema(gb, schema)
-            to_left = dict(zip(gb.key_columns, left_keys))
             own = [f for f in events if f.name not in (*gb.key_columns, "ts")]
-            side = pa.schema([pa.field(to_left[k], shared[to_left[k]])
-                              for k in gb.key_columns]
-                             + [pa.field("ts", shared["ts"])] + own)
-            rename = {**to_left, "ts": "ts",
-                      **{f.name: _physical(i, f.name) for f in own}}
+            s = Side(part.data, pa.schema(
+                [events.field(k) for k in (*gb.key_columns, "ts")] + own),
+                dict(zip(gb.key_columns, left_keys)))
             proc = _part_kernel(part, events)
             suffix = COMPUTED if part.covered else ""
             feats = [(f.name, _feature_name(part.prefix, f.name) + suffix)
@@ -324,21 +267,18 @@ def _plan(left: ray.data.Dataset, left_keys: Sequence[str],
                            for f, (_, o) in zip(proc.out_fields, feats)]
         else:
             own = [f for f in schema if f.name not in keys and f.name != "ds"]
-            side = pa.schema([pa.field(k, shared[k]) for k in keys] + own)
-            rename = {**{k: k for k in keys},
-                      **{f.name: _physical(i, f.name) for f in own}}
+            s = Side(part.data, pa.schema([schema.field(k) for k in keys]
+                                          + own))
             proc = None
             feats = [(f.name, f.name) for f in own]
             out_fields += own
-        tagged.append(part.data.map_batches(
-            _TagAlignStep(i, rename, shared, hash_keys, num_partitions,
-                          events=part.computed),
-            batch_format="pyarrow"))
-        kernel_parts.append(_KernelPart(i, side, tuple(feats), proc,
+        sides.append(s)
+        kernel_parts.append(_KernelPart(i, s.own(shared), tuple(feats), proc,
                                         tuple(part.covered)))
     out_schema = pa.schema([*out_fields, pa.field(FIRST, pa.bool_())])
-    return tagged, StepTemporalPartition(left_schema, keys, kernel_parts,
-                                         out_schema)
+    return (tag(sides, shared, hash_keys, num_partitions),
+            StepTemporalPartition(left_schema, keys, kernel_parts,
+                                  out_schema))
 
 
 def join_step(left: ray.data.Dataset, left_keys: Sequence[str],
@@ -348,7 +288,4 @@ def join_step(left: ray.data.Dataset, left_keys: Sequence[str],
     one exchange (see the module docstring). ``left_keys`` are the left
     columns each part's keys map to, in the parts' key order."""
     tagged, kernel = _plan(left, left_keys, parts, num_partitions)
-    unioned = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
-    return with_schema(
-        unioned.groupby(_PART).map_groups(kernel, batch_format="pyarrow"),
-        kernel.out_schema)
+    return group(tagged, kernel, kernel.out_schema)

@@ -14,10 +14,11 @@ SawtoothMutationAggregator.scala:197) in timestamp order — ``is_before=false``
 
 Physical plan: snapshot rows collapse to per-(key, ds) partial IRs at the map
 side (RowAggregator grouped path — only IRs cross the shuffle, never raw
-snapshot rows); mutations and queries are tagged and co-partitioned by
-hash(key); the partition processor merges base IRs vectorized, converts each
-query day's base IR to the scalar py-IR form once, and replays the (small,
-CDC-sized) mutation stream per (key, day) over the sorted queries.
+snapshot rows); the partials, mutations and queries are co-partitioned by
+hash(key) (``pipelines/copartition.py``); the partition processor merges
+base IRs vectorized, converts each query day's base IR to the scalar py-IR
+form once, and replays the (small, CDC-sized) mutation stream per (key,
+day) over the sorted queries.
 
 Windowed aggregations follow the reference's BatchIr = (collapsed,
 tailHops) split (SawtoothMutationAggregator.scala:64-216): snapshot rows
@@ -50,7 +51,8 @@ from ..aggregators.ops import OPS
 from ..aggregators.row import RowAggregator
 from ..state.partitions import shift_ds
 from ..windowing.resolution import round_ts, tail_hop_millis
-from .groupby import _factorize_keys, canon_key_hash
+from .copartition import Side, copartition, side
+from .groupby import _factorize_keys
 
 MILLIS_DAY = 86_400_000
 TAIL_BUFFER_MS = 2 * MILLIS_DAY  # reference tailBufferMillis default
@@ -146,8 +148,8 @@ def _irs_from_ps(op: Operation, S: np.ndarray, has: np.ndarray,
 
 
 class _EntityPartition:
-    """One hash partition of tagged rows: kind 0 = snapshot IR partials,
-    kind 1 = mutations, kind 2 = queries.
+    """One partition of an entity join's sides: 0 = queries, 1 =
+    mutations, 2 = snapshot IR partials.
 
     The mutation replay is FULLY VECTORIZED for every supported part shape
     (scalar / list auto-explode / map input × SUM/COUNT/AVERAGE/VARIANCE/
@@ -164,16 +166,18 @@ class _EntityPartition:
     def __init__(self, keys: Sequence[str], parts: list[AggregationPart],
                  snap_schema: pa.Schema, left_cols: list[str],
                  left_fields: Optional[list[pa.Field]] = None,
-                 out_names: Optional[list[str]] = None):
+                 out_names: Optional[list[str]] = None,
+                 sides: Sequence[pa.Schema] = ()):
         self.__name__ = type(self).__name__
         self.keys = list(keys)
         self.in_schema = snap_schema
         self.agg = RowAggregator(parts, snap_schema)
         self.bound = self.agg.bound
         self.left_cols = left_cols
-        # declared left schema: the pandas union frame promotes int64→
-        # float64 on null-padded columns; outputs must cast back
+        # declared left schema: pandas promotes an int64 column holding a
+        # null to float64; outputs must cast back
         self.left_fields = left_fields or []
+        self.sides = list(sides)  # Side.own of each side
         from .upload import _py_op
         self.wops = [_py_op(bp) for bp in self.bound]
         names = list(out_names) if out_names \
@@ -452,20 +456,16 @@ class _EntityPartition:
                                                or applied[i]) else None)
         return out
 
-    def __call__(self, pdf: pd.DataFrame) -> pa.Table:
+    def __call__(self, tbl: pa.Table) -> pa.Table:
         from .upload import _py_ir_from_prefixed
 
-        pdf = pdf.reset_index(drop=True)
-        snaps = pdf[pdf["_kind"] == 0]
-        muts = pdf[pdf["_kind"] == 1]
-        queries = pdf[pdf["_kind"] == 2]
+        queries, muts, snaps = [side(tbl, i, s).to_pandas()
+                                for i, s in enumerate(self.sides)]
         out_cols: dict[str, list] = {c: [] for c in self.left_cols}
         feats: dict[str, list] = {f.name: [] for f in self.out_fields}
         if len(queries) == 0:
-            arrays = {c: pa.array([], type=self._left_type(c))
-                      for c in self.left_cols}
-            arrays.update({f.name: pa.array([], type=f.type) for f in self.out_fields})
-            return pa.table(arrays)
+            return pa.schema([*self.left_fields,
+                              *self.out_fields]).empty_table()
 
         # merge snapshot IR partials per (keys, ds) — vectorized
         base_by_kd: dict[tuple, pd.Series] = {}
@@ -474,9 +474,7 @@ class _EntityPartition:
         if len(snaps):
             codes, kdf = _factorize_keys(snaps, [*self.keys, "_snap_ds"])
             irf = self.agg.ir_frame_from_pandas(snaps)
-            irf = irf.drop(columns=[c for c in (*self.keys, "_snap_ds", "_part",
-                                                "_kind") if c in irf.columns],
-                           errors="ignore")
+            irf = irf.drop(columns=[*self.keys, "_snap_ds"], errors="ignore")
             irf["g"] = codes
             merged = self.agg.merge_frame(irf)
             # column-wise row extraction (iterrows builds a Series per row)
@@ -513,8 +511,8 @@ class _EntityPartition:
         mut_groups: dict[tuple, pd.DataFrame] = {}
         if len(muts):
             m = muts.copy()
-            # restore declared INTEGER input dtypes (union promoted to
-            # float64) so histogram keys match the snapshot IRs' str keys
+            # restore declared INTEGER input dtypes (a null promotes them
+            # to float64) so histogram keys match the snapshot IRs' str keys
             for c in {bp.part.input_column for bp in self.bound}:
                 if c in m.columns and c in self.in_schema.names \
                         and pa.types.is_integer(self.in_schema.field(c).type):
@@ -658,10 +656,6 @@ class _EntityPartition:
             arrays[f.name] = pa.array(feats[f.name], type=f.type)
         return pa.table(arrays)
 
-    def _left_type(self, name: str):
-        from .groupby import left_field_type
-        return left_field_type(self.left_fields, name)
-
     def _left_array(self, name: str, vals: list) -> pa.Array:
         from .groupby import left_column_array
         return left_column_array(self.left_fields, name, vals)
@@ -678,7 +672,7 @@ def temporal_entities_join(
 
     queries: keys + ts (+ passthrough); snapshots: keys + ds + inputs;
     mutations: keys + mutation_ts + is_before + inputs."""
-    from ..util import dataset_schema
+    from ..util import dataset_schema, drop_null_key_rows
     from .upload import _add_bucket_maps, _prepare_parts, _py_ir_from_prefixed
 
     keys = list(conf.key_columns)
@@ -704,7 +698,6 @@ def temporal_entities_join(
             "windowed temporal-entities aggregations need an event 'ts' "
             "column on the snapshot table (the window is over row event "
             "time — reference SawtoothMutationAggregator.update)")
-    left_cols = list(q_schema.names)
     agg = RowAggregator(parts, s_schema)
     w_bound = [bp for bp in agg.bound if not bp.part.window.unbounded]
     # single-part aggregators for the nested masked re-partials in
@@ -712,9 +705,10 @@ def temporal_entities_join(
     one_agg = {bp.name: RowAggregator([bp.part], s_schema)
                for bp in w_bound if bp.is_map or bp.explode}
     input_cols = sorted({p.input_column for p in parts})
-    # all three tagged branches MUST hash the same key representation —
-    # canonicalize to the query schema's key types before partitioning
-    key_types = {k: q_schema.field(k).type for k in keys}
+    # every side hashes the query schema's key types: an int32 snapshot
+    # or mutation key must meet the query's int64 key
+    key_types = {**{k: q_schema.field(k).type for k in keys},
+                 "ts": pa.int64()}
 
     def snap_partials(batch: pa.Table) -> pa.Table:
         """Snapshot rows → per-(keys, ds) IR partials (only IRs shuffle).
@@ -722,6 +716,7 @@ def temporal_entities_join(
         Windowed parts follow the reference BatchIr split: rows with event
         ts ≥ tail+buffer collapse into the regular IR columns; rows inside
         the 2-day tail buffer become per-hop py IRs, pickled per group."""
+        batch = drop_null_key_rows(batch, keys)
         gran = [*keys, "ds"]
         kdf = batch.select(gran).to_pandas()
         codes, uniq = _factorize_keys(kdf, gran)
@@ -809,103 +804,41 @@ def temporal_entities_join(
                                      type=key_types[k])
         key_arrays["_snap_ds"] = pa.array(
             uniq["ds"].to_numpy(dtype=object)[sel], type=pa.string())
-        part = canon_key_hash(pa.table({k: key_arrays[k] for k in keys}),
-                              keys, key_types, num_partitions)
-        key_arrays["_part"] = pa.array(part)
         out = agg.ir_frame_to_arrow(irf, key_arrays)
         for bp in w_bound:
             col = f"{bp.name}__tailhops"
             out = out.append_column(
                 col, pa.array(irf[col].tolist(), type=pa.binary()))
-        return out.append_column("_kind", pa.array(np.zeros(len(out), dtype=np.int8)))
+        return out
 
-    # union schema across the three tagged branches (ray union needs it)
-    union_fields: list[pa.Field] = []
-    seen: set[str] = set()
+    snap_schema = pa.schema(
+        [*(pa.field(k, key_types[k]) for k in keys),
+         pa.field("_snap_ds", pa.string()), *agg.ir_fields(),
+         *(pa.field(f"{bp.name}__tailhops", pa.binary()) for bp in w_bound)])
+    # ordering ts = mutation_ts; windowed parts also need the mutated row's
+    # EVENT ts (its ts, else its mutation_ts); inputs in the snapshots' types
+    mut_schema = pa.schema(
+        [*(pa.field(k, key_types[k]) for k in keys),
+         pa.field("mutation_ts", pa.int64()),
+         pa.field("is_before", pa.bool_()),
+         *([pa.field("_row_ts", pa.int64())] if windowed else []),
+         *(s_schema.field(c) for c in input_cols)])
 
-    def _addf(f: pa.Field):
-        if f.name not in seen:
-            seen.add(f.name)
-            union_fields.append(f)
+    def mut_rows(t: pa.Table) -> pa.Table:
+        if windowed and "_row_ts" not in t.column_names:
+            t = t.append_column("_row_ts", t["ts"] if "ts" in t.column_names
+                                else t["mutation_ts"])
+        return pa.table([pc.cast(t[f.name], f.type) if f.name in t.column_names
+                         else pa.nulls(len(t), f.type) for f in mut_schema],
+                        schema=mut_schema)
 
-    for k in keys:
-        _addf(pa.field(k, q_schema.field(k).type))
-    _addf(pa.field("ts", pa.int64()))
-    _addf(pa.field("_snap_ds", pa.string()))
-    for f in agg.ir_fields():
-        _addf(f)
-    for bp in w_bound:
-        _addf(pa.field(f"{bp.name}__tailhops", pa.binary()))
-    _addf(pa.field("is_before", pa.bool_()))
-    if windowed:
-        _addf(pa.field("_row_ts", pa.int64()))
-    for c in input_cols:
-        _addf(pa.field(c, s_schema.field(c).type))
-    for c in left_cols:
-        if c not in seen:
-            _addf(pa.field(c, q_schema.field(c).type))
-    _addf(pa.field("_part", pa.int64()))
-    _addf(pa.field("_kind", pa.int8()))
-
-    def _pad(t: pa.Table) -> pa.Table:
-        cols = {}
-        for f in union_fields:
-            if f.name in t.column_names:
-                c = t[f.name]
-                cols[f.name] = c if c.type == f.type else pc.cast(c, f.type)
-            else:
-                cols[f.name] = pa.nulls(len(t), type=f.type)
-        return pa.table(cols)
-
-    from functools import partial
-
-    from ..util import drop_null_key_rows
-
-    # null-key snapshot/mutation rows are data-side noise and must never
-    # pair with a null-key QUERY row (left-outer: those stay, null features)
-    _dropper = partial(drop_null_key_rows, keys=keys)
-    snapshots = snapshots.map_batches(_dropper, batch_format="pyarrow")
-    mutations = mutations.map_batches(_dropper, batch_format="pyarrow")
-    snap_ds = snapshots.map_batches(
-        lambda t: _pad(snap_partials(t)), batch_format="pyarrow")
-
-    def tag(kind: int, ts_col: Optional[str] = None, keep: Optional[list] = None):
-        def f(t: pa.Table) -> pa.Table:
-            cols = {}
-            for k in keys:
-                cols[k] = t[k]
-            if ts_col is not None:
-                cols["ts"] = pc.cast(t[ts_col], pa.int64())
-            for c in keep or []:
-                if c not in cols and c in t.column_names:
-                    cols[c] = t[c]
-            part = canon_key_hash(t.select(keys), keys, key_types,
-                                  num_partitions)
-            cols["_part"] = pa.array(part)
-            cols["_kind"] = pa.array(np.full(len(t), kind, dtype=np.int8))
-            return _pad(pa.table(cols))
-        f.__name__ = f"tag{kind}"
-        return f
-
-    def tag_mut(t: pa.Table) -> pa.Table:
-        # ordering ts = mutation_ts; windowed parts also need the mutated
-        # row's EVENT ts (falls back to mutation_ts when absent)
-        if windowed:
-            row_ts = t["ts"] if "ts" in t.column_names else t["mutation_ts"]
-            t = t.append_column("_row_ts", pc.cast(row_ts, pa.int64())) \
-                if "_row_ts" not in t.column_names else t
-        return tag(1, ts_col="mutation_ts",
-                   keep=["is_before", "_row_ts", *input_cols])(t)
-
-    tag_mut.__name__ = "tag_mut"
-    mut_ds = mutations.map_batches(tag_mut, batch_format="pyarrow")
-    q_ds = queries.map_batches(
-        tag(2, ts_col="ts", keep=[c for c in left_cols if c != "ts"]),
-        batch_format="pyarrow")
-
-    unioned = snap_ds.union(mut_ds).union(q_ds)
-    proc = _EntityPartition(keys, parts, s_schema, left_cols,
-                            left_fields=[q_schema.field(c)
-                                         for c in left_cols],
-                            out_names=out_names)
-    return unioned.groupby("_part").map_groups(proc, batch_format="pandas")
+    sides = [Side(queries, q_schema),
+             Side(mutations.map_batches(mut_rows, batch_format="pyarrow"),
+                  mut_schema, {"mutation_ts": "ts"}),
+             Side(snapshots.map_batches(snap_partials, batch_format="pyarrow"),
+                  snap_schema)]
+    proc = _EntityPartition(keys, parts, s_schema, q_schema.names,
+                            left_fields=list(q_schema), out_names=out_names,
+                            sides=[s.own(key_types) for s in sides])
+    return copartition(sides, key_types, keys, num_partitions, proc,
+                       pa.schema([*q_schema, *proc.out_fields]))

@@ -31,8 +31,9 @@ choice for its sub-12h windows.
 Scale notes (100 TB): tiles are pre-aggregated IRs, so the tile exchange
 moves O(keys × tiles) small rows, never raw events; ``merge_tiles``
 accepts ``expire_before_ts`` so the rolling tile store stays bounded by
-max_window / tile; the serve exchange is the same single hash
-co-partition as ``serve_with_events``.
+max_window / tile; the serve exchange is one co-partition
+(``pipelines/copartition.py``) of the sides of ``serve_with_events`` plus
+the tile rows.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ from ..aggregators.row import RowAggregator
 from ..api import GroupByConf
 from ..windowing.resolution import MILLIS_FIVE_MIN, round_ts, tail_hop_millis
 from .groupby import _factorize_keys, canon_key_hash
+from .copartition import Side, copartition
 from .upload import (_ServePartition, _add_bucket_maps, _invalid,
-                     _prepare_parts, _py_irs_from_frame, _py_op)
+                     _prepare_parts, _py_irs_from_frame, _serve_sides)
 
 
 def default_tile_ms(conf: GroupByConf) -> int:
@@ -289,9 +291,9 @@ def merge_tiles(
 
 
 class _TiledServePartition(_ServePartition):
-    """One hash partition of tagged rows: 0 = IR checkpoint rows, 1 = raw
-    in-flight events (needed only inside each query's own tile), 2 =
-    queries, 3 = tile rows. Per query and part:
+    """One partition of a tiled serve's sides: 0 = queries, 1 = raw
+    in-flight events (needed only inside each query's own tile), 2 = IR
+    checkpoint rows, 3 = tile rows. Per query and part:
 
         base ∥ in-window checkpoint tail hops
              ∥ complete tile IRs with tile_start in [qtail, round(qts, T))
@@ -307,18 +309,14 @@ class _TiledServePartition(_ServePartition):
         super().__init__(*args, **kwargs)
         self.tile_ms = tile_ms
 
-    def __call__(self, pdf: pd.DataFrame) -> pa.Table:
+    def __call__(self, tbl: pa.Table) -> pa.Table:
         from ..windowing.resolution import round_ts, tail_hop_millis
         from .mutations import TAIL_BUFFER_MS
 
-        pdf = pdf.reset_index(drop=True)
-        irs = pdf[pdf["_kind"] == 0]
-        raws = pdf[pdf["_kind"] == 1]
-        queries = pdf[pdf["_kind"] == 2]
-        trows = pdf[pdf["_kind"] == 3]
+        queries, raws, irs, trows = self._frames(tbl)
         if len(queries) == 0:
             return self._empty_out()
-        fh = self._resolve_layout(pdf, irs)
+        fh = self._resolve_layout(irs)
         self._check_horizon(queries, fh)
         base_by_key, tails_by_key = self._load_checkpoint(irs)
         head_by_key = self._group_events(raws)
@@ -450,103 +448,37 @@ def serve_with_tiles(
     whole head) is correct; events already covered by a complete tile are
     never replayed. Events below ``batch_end_ts`` are excluded at tag
     time (the checkpoint covers them)."""
-    from ..util import auto_partitions, dataset_schema, with_schema
+    from ..util import auto_partitions, dataset_schema
 
     keys = list(conf.key_columns)
-    ev_schema = dataset_schema(recent_events)
-    q_schema = dataset_schema(queries)
     if num_partitions is None:
         num_partitions = auto_partitions(recent_events)
-    parts, synth, out_names, ev_schema = _prepare_parts(conf, ev_schema)
+    parts, synth, out_names, ev_schema = _prepare_parts(
+        conf, dataset_schema(recent_events))
+    T = tile_ms if tile_ms is not None else default_tile_ms(conf)
+    _validate_tile(conf, T)
+
+    def tile_head(t: pa.Table) -> pa.Table:
+        # events below batch_end_ts are the checkpoint's
+        return t.filter(pc.greater_equal(pc.cast(t["ts"], pa.int64()),
+                                         batch_end_ts))
+
+    recent_events = recent_events.map_batches(tile_head,
+                                              batch_format="pyarrow")
     if synth:
         recent_events = recent_events.map_batches(_add_bucket_maps(synth),
                                                   batch_format="pyarrow")
-    T = tile_ms if tile_ms is not None else default_tile_ms(conf)
-    _validate_tile(conf, T)
-    left_cols = list(q_schema.names)
-    input_cols = sorted({p.input_column for p in parts})
-    ir_schema = dataset_schema(ir_table)
-
-    union_fields: list[pa.Field] = []
-    seen: set[str] = set()
-
-    def _addf(f: pa.Field):
-        if f.name not in seen:
-            seen.add(f.name)
-            union_fields.append(f)
-
-    for k in keys:
-        _addf(pa.field(k, q_schema.field(k).type))
-    _addf(pa.field("ts", pa.int64()))
-    for f in ir_schema:
-        if f.name not in ("_batch_end_ts", "_part"):
-            _addf(f)  # _full_hops rides along for in-partition detection
-    for c in input_cols:
-        _addf(pa.field(c, ev_schema.field(c).type))
-    for c in left_cols:
-        if c not in seen:
-            _addf(pa.field(c, q_schema.field(c).type))
-    _addf(pa.field("_tile", pa.int64()))
-    _addf(pa.field("_tirs", pa.binary()))
-    _addf(pa.field("_tile_ms", pa.int64()))
-    _addf(pa.field("_part", pa.int64()))
-    _addf(pa.field("_kind", pa.int8()))
-
-    def _pad(t: pa.Table) -> pa.Table:
-        cols = {}
-        for f in union_fields:
-            if f.name in t.column_names:
-                c = t[f.name]
-                cols[f.name] = c if c.type == f.type else pc.cast(c, f.type)
-            else:
-                cols[f.name] = pa.nulls(len(t), type=f.type)
-        return pa.table(cols)
-
-    # all four tagged branches MUST hash the same key representation —
-    # an int32 tile-table key vs an int64 query key would otherwise land
-    # in different partitions and silently produce all-null features
-    key_types = {k: q_schema.field(k).type for k in keys}
-
-    def tag(kind: int, ts_col: Optional[str], keep: list,
-            min_ts: Optional[int] = None):
-        def f(t: pa.Table) -> pa.Table:
-            if min_ts is not None:
-                t = t.filter(pc.greater_equal(
-                    pc.cast(t[ts_col], pa.int64()), min_ts))
-            cols = {k: t[k] for k in keys}
-            if ts_col is not None:
-                cols["ts"] = pc.cast(t[ts_col], pa.int64())
-            for c in keep:
-                if c not in cols and c in t.column_names:
-                    cols[c] = t[c]
-            part = canon_key_hash(t.select(keys), keys, key_types,
-                                  num_partitions)
-            cols["_part"] = pa.array(part)
-            cols["_kind"] = pa.array(np.full(len(t), kind, dtype=np.int8))
-            return _pad(pa.table(cols))
-        f.__name__ = f"tag{kind}"
-        return f
-
-    ir_cols = [f.name for f in ir_schema
-               if f.name not in (*keys, "_batch_end_ts", "_part")]
-    tagged_ir = ir_table.map_batches(tag(0, None, ir_cols),
-                                     batch_format="pyarrow")
-    tagged_ev = recent_events.map_batches(
-        tag(1, "ts", input_cols, min_ts=batch_end_ts),
-        batch_format="pyarrow")
-    tagged_q = queries.map_batches(
-        tag(2, "ts", [c for c in left_cols if c != "ts"]),
-        batch_format="pyarrow")
-    tagged_t = tiles.map_batches(
-        tag(3, None, ["_tile", "_tirs", "_tile_ms"]),
-        batch_format="pyarrow")
-
-    left_fields = [q_schema.field(c) for c in left_cols]
-    proc = _TiledServePartition(keys, parts, ev_schema, left_cols,
+    sides, key_types = _serve_sides(queries, recent_events, ev_schema, parts,
+                                    ir_table, keys)
+    sides.append(Side(tiles, pa.schema(
+        [*(pa.field(k, key_types[k]) for k in keys),
+         pa.field("_tile", pa.int64()), pa.field("_tirs", pa.binary()),
+         pa.field("_tile_ms", pa.int64())])))
+    q_schema = sides[0].schema
+    proc = _TiledServePartition(keys, parts, ev_schema, q_schema.names,
                                 batch_end_ts, full_hops=full_hops,
-                                left_fields=left_fields,
-                                out_names=out_names, tile_ms=T)
-    return with_schema(
-        tagged_ir.union(tagged_ev).union(tagged_q).union(tagged_t)
-        .groupby("_part").map_groups(proc, batch_format="pandas"),
-        pa.schema(left_fields + proc.out_fields))
+                                left_fields=list(q_schema),
+                                out_names=out_names, tile_ms=T,
+                                sides=[s.own(key_types) for s in sides])
+    return copartition(sides, key_types, keys, num_partitions, proc,
+                       pa.schema([*q_schema, *proc.out_fields]))

@@ -39,7 +39,8 @@ groupByKey+leftOuterJoin chain with one co-partitioned pass):
      merge): per-key hop-tiled two-stack engine (windowing/sawtooth.py)
      with hop-IR caching across windows.
 
-No stage materializes the dataset; the output streams out of the groupby.
+No stage materializes the dataset; the output streams out of the groupby
+(out of the second, merge groupby on the salted ``hot_keys`` path).
 """
 
 from __future__ import annotations
@@ -1082,17 +1083,18 @@ def temporal_join(
 def _salted_temporal_join(left_ds, right_ds, conf, num_partitions,
                           hot_keys: list, salt_shards: int,
                           exact: bool = False):
-    """Single-pass salted plan: ONE scan of each input, ONE sort exchange.
+    """Single-pass salted plan: ONE scan of each input, ONE exchange of
+    the events.
 
     Cold rows hash into partitions [0, num_partitions); each hot
     (key, salt) pair gets its OWN dedicated partition id >= num_partitions
     (deterministic — hot work never shares a task with cold keys). The
     partition processor dispatches on the partition id: cold partitions
-    emit finalized rows, hot partitions emit mergeable per-query partials;
-    both come out of the same shuffle padded to one output schema, split by
-    a flag column after a cheap materialize (output-sized), and the hot
-    partials take the small second merge shuffle. The previous two-branch
-    plan scanned, tagged and sorted the full event stream twice."""
+    emit finalized rows, hot partitions emit mergeable per-query partials.
+    Every row of that shuffle's output (output-sized) takes a second,
+    small one: a hot query's partials meet on its query id and merge into
+    one row, a cold partition's finalized rows pass through. The plan is
+    lazy: nothing executes until its rows are consumed."""
     import uuid
 
     from ..util import dataset_schema, drop_null_key_rows, with_schema
@@ -1217,14 +1219,22 @@ def _salted_temporal_join(left_ds, right_ds, conf, num_partitions,
         + [pa.field("_qid_hi", pa.int64()), pa.field("_qid_lo", pa.int64()),
            pa.field("_partial", pa.int8())])
 
+    final_order = [*left_cols, *[f.name for f in final_fields]]
+    final_schema = pa.schema([*left_schema, *final_fields])
+    merge_parts = max(8, num_partitions // 8)
+
     class _Dispatch:
+        """Each partition's rows in ``out_schema``, routed to the merge
+        partition ``_part2``: a hot query's partials by its query id, a
+        cold partition's finalized rows by its partition id."""
         __name__ = "SaltedDispatch"
 
         def __call__(self, tbl: pa.Table) -> pa.Table:
             if len(tbl) == 0:
-                return pa.table({f.name: pa.nulls(0, f.type)
-                                 for f in out_schema})
-            hot = int(tbl["_part"][0].as_py()) >= num_partitions
+                return out_schema.empty_table().append_column(
+                    "_part2", pa.array([], pa.int64()))
+            part = int(tbl["_part"][0].as_py())
+            hot = part >= num_partitions
             res = (hot_proc if hot else cold_proc)(tbl)
             n = len(res)
             cols = {}
@@ -1238,46 +1248,48 @@ def _salted_temporal_join(left_ds, right_ds, conf, num_partitions,
                         else pc.cast(c, f.type)
                 else:
                     cols[f.name] = pa.nulls(n, type=f.type)
+            if hot:
+                hi = res["_qid_hi"].to_numpy(
+                    zero_copy_only=False).view(np.uint64)
+                lo = res["_qid_lo"].to_numpy(
+                    zero_copy_only=False).view(np.uint64)
+                mixed = (hi * np.uint64(0x9E3779B97F4A7C15)) ^ lo
+                part2 = (mixed % np.uint64(merge_parts)).astype(np.int64)
+            else:
+                part2 = np.full(n, part % merge_parts, dtype=np.int64)
+            cols["_part2"] = pa.array(part2)
             return pa.table(cols)
 
-    results = unioned.groupby("_part").map_groups(
-        _Dispatch(), batch_format="pyarrow").materialize()
+    salted_merge = SaltedMerge(
+        parts, left_cols, final_fields,
+        left_types={c: left_schema.field(c).type for c in left_cols
+                    if left_schema.get_field_index(c) >= 0},
+        tb_slice=bool(conf.tie_break_column
+                      and conf.tie_break_column in right_schema.names),
+        map_parts=frozenset(
+            p.output_name for p in parts
+            if p.input_column in right_schema.names
+            and pa.types.is_map(right_schema.field(p.input_column).type)))
 
-    final_order = [*left_cols, *[f.name for f in final_fields]]
-    cold_rows = results.filter(expr="_partial == 0").map_batches(
-        lambda t: t.select(final_order), batch_format="pyarrow")
+    class _Merge:
+        """A merge partition's rows in the final schema: cold rows as
+        they are, each hot query's partials merged into one row."""
+        __name__ = "SaltedMergePartition"
 
-    merge_parts = max(8, num_partitions // 8)
+        def __call__(self, tbl: pa.Table) -> pa.Table:
+            partial = pc.equal(tbl["_partial"], 1)
+            out = [tbl.filter(pc.invert(partial))]
+            hot = tbl.filter(partial)
+            if len(hot):
+                out.append(salted_merge(hot.to_pandas()))
+            return pa.concat_tables(
+                [t.select(final_order).cast(final_schema) for t in out])
 
-    def qid_part(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.equal(t["_partial"], 1))
-        hi = t["_qid_hi"].to_numpy(zero_copy_only=False).view(np.uint64)
-        lo = t["_qid_lo"].to_numpy(zero_copy_only=False).view(np.uint64)
-        mixed = (hi * np.uint64(0x9E3779B97F4A7C15)) ^ lo
-        return t.append_column(
-            "_part2",
-            pa.array((mixed % np.uint64(merge_parts)).astype(np.int64)))
-
-    merged = results.map_batches(qid_part, batch_format="pyarrow") \
-        .groupby("_part2").map_groups(
-            SaltedMerge(parts, left_cols, final_fields,
-                        left_types={c: left_schema.field(c).type
-                                    for c in left_cols
-                                    if left_schema.get_field_index(c) >= 0},
-                        tb_slice=bool(
-                            conf.tie_break_column
-                            and conf.tie_break_column in right_schema.names),
-                        map_parts=frozenset(
-                            p.output_name for p in parts
-                            if p.input_column in right_schema.names
-                            and pa.types.is_map(
-                                right_schema.field(p.input_column).type))),
-            batch_format="pandas")
-
-    return with_schema(cold_rows.union(
-        merged.map_batches(lambda t: t.select(final_order),
-                           batch_format="pyarrow")),
-        pa.schema([*left_schema, *final_fields]))
+    return with_schema(
+        unioned.groupby("_part").map_groups(_Dispatch(),
+                                            batch_format="pyarrow")
+        .groupby("_part2").map_groups(_Merge(), batch_format="pyarrow"),
+        final_schema)
 
 
 def ir_rec_to_py(p: AggregationPart, op: AggOp, row):

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import replace as _dc_replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 import pandas as pd
@@ -45,8 +45,9 @@ import ray.data
 from ..aggregators.ops import OPS
 from ..aggregators.row import BoundPart, RowAggregator
 from ..api import AggregationPart, GroupByConf, Operation
-from ..util import drop_null_key_rows
+from ..util import dataset_schema, drop_null_key_rows
 from ..windowing.resolution import round_ts, tail_hop_millis
+from .copartition import Side, copartition, side
 from .groupby import _factorize_keys, canon_key_hash
 from .mutations import TAIL_BUFFER_MS
 from .temporal import MapPyOp, VectorPyOp, ir_rec_to_py
@@ -402,7 +403,7 @@ def groupby_upload(
     collapsed + 2-day tail. Bigger rows (W/hop IRs per part), but the
     checkpoint can then be advanced day by day with ``roll_checkpoint``
     forever — no serving-horizon limit."""
-    from ..util import auto_partitions, dataset_schema, with_schema
+    from ..util import auto_partitions, with_schema
 
     kern = CheckpointAgg(conf, dataset_schema(events))
     if num_partitions is None:
@@ -427,8 +428,8 @@ def groupby_upload(
 
 
 class _ServePartition:
-    """One hash partition of tagged rows: 0 = IR checkpoint rows,
-    1 = head events (ts ≥ batch_end), 2 = queries.
+    """One partition of a serve's sides (``_serve_sides``): 0 = queries,
+    1 = head events (ts ≥ batch_end), 2 = IR checkpoint rows.
 
     Head replay is LINEAR (the reference's cumulate pattern —
     SawtoothAggregator.scala:124-158): per key and part, head events are
@@ -443,13 +444,15 @@ class _ServePartition:
     def __init__(self, keys, parts, schema: pa.Schema, left_cols,
                  batch_end_ts: int, full_hops: Optional[bool] = None,
                  left_fields: Optional[list[pa.Field]] = None,
-                 out_names: Optional[list[str]] = None):
+                 out_names: Optional[list[str]] = None,
+                 sides: Sequence[pa.Schema] = ()):
         self.__name__ = type(self).__name__
         self.keys = list(keys)
         self.left_cols = left_cols
-        # declared left schema: the pandas union frame promotes int64→
-        # float64 on null-padded columns; outputs must cast back
+        # declared left schema: pandas promotes an int64 column holding a
+        # null to float64; outputs must cast back
         self.left_fields = left_fields or []
+        self.sides = list(sides)  # Side.own of each side
         self.in_schema = schema
         self.batch_end = batch_end_ts
         self.full_hops = full_hops
@@ -479,14 +482,9 @@ class _ServePartition:
         return wop.py_finalize(ir, p)
 
     def _empty_out(self) -> pa.Table:
-        arrays = {c: pa.array([], type=self._left_type(c))
-                  for c in self.left_cols}
-        arrays.update({f.name: pa.array([], type=f.type)
-                       for f in self.out_fields})
-        return pa.table(arrays)
+        return pa.schema([*self.left_fields, *self.out_fields]).empty_table()
 
-    def _resolve_layout(self, pdf: pd.DataFrame,
-                        irs: pd.DataFrame) -> Optional[bool]:
+    def _resolve_layout(self, irs: pd.DataFrame) -> Optional[bool]:
         """Resolve the checkpoint layout from this partition's IR rows:
         serving a rolling checkpoint with the collapsed-mode tail cut
         silently drops every hop older than the tail buffer, so an
@@ -495,7 +493,7 @@ class _ServePartition:
         fh=None skips the horizon check and the cut is never consulted."""
         table_fh = None
         if len(irs):
-            if "_full_hops" in pdf.columns:
+            if "_full_hops" in irs.columns:
                 v = irs["_full_hops"].dropna()
                 if len(v):
                     table_fh = bool(v.iloc[0])
@@ -553,9 +551,9 @@ class _ServePartition:
 
     def _group_events(self, heads: pd.DataFrame) -> dict:
         """ts-sorted per-key event frames with declared INTEGER input
-        dtypes restored: the null-padded union promoted them to float64,
-        and a histogram py_update keyed on str(5.0) would never merge
-        with the checkpoint's "5"."""
+        dtypes restored: pandas promotes a column holding a null to
+        float64, and a histogram py_update keyed on str(5.0) would never
+        merge with the checkpoint's "5"."""
         head_by_key: dict[tuple, pd.DataFrame] = {}
         if len(heads):
             # one stable sort: every group keeps the ts order
@@ -570,14 +568,15 @@ class _ServePartition:
                 head_by_key[kv] = grp
         return head_by_key
 
-    def __call__(self, pdf: pd.DataFrame) -> pa.Table:
-        pdf = pdf.reset_index(drop=True)
-        irs = pdf[pdf["_kind"] == 0]
-        heads = pdf[pdf["_kind"] == 1]
-        queries = pdf[pdf["_kind"] == 2]
+    def _frames(self, tbl: pa.Table) -> list[pd.DataFrame]:
+        """Every side of partition ``tbl`` as a pandas frame."""
+        return [side(tbl, i, s).to_pandas() for i, s in enumerate(self.sides)]
+
+    def __call__(self, tbl: pa.Table) -> pa.Table:
+        queries, heads, irs = self._frames(tbl)
         if len(queries) == 0:
             return self._empty_out()
-        fh = self._resolve_layout(pdf, irs)
+        fh = self._resolve_layout(irs)
         return self.serve(self._load_checkpoint(irs),
                           self._group_events(heads), queries,
                           self.batch_end, fh)
@@ -692,10 +691,6 @@ class _ServePartition:
             arrays[f.name] = pa.array(feats[f.name], type=f.type)
         return pa.table(arrays)
 
-    def _left_type(self, name: str):
-        from .groupby import left_field_type
-        return left_field_type(self.left_fields, name)
-
     def _left_array(self, name: str, vals: list) -> pa.Array:
         from .groupby import left_column_array
         return left_column_array(self.left_fields, name, vals)
@@ -722,98 +717,49 @@ def serve_with_events(
     collapsed-mode tail cut would silently drop every hop older than the
     tail buffer, so an explicit flag that contradicts the checkpoint
     fails loudly instead."""
-    from ..util import auto_partitions, dataset_schema, with_schema
+    from ..util import auto_partitions
 
     keys = list(conf.key_columns)
-    ev_schema = dataset_schema(head_events)
-    q_schema = dataset_schema(queries)
-    # full_hops=None auto-detects INSIDE each partition from the tagged IR
-    # rows' _full_hops column — a driver-side take(1) here would execute
-    # the (lazy, uncached) checkpoint pipeline a second time
     if num_partitions is None:
         num_partitions = auto_partitions(head_events)
-    parts, synth, out_names, ev_schema = _prepare_parts(conf, ev_schema)
+    parts, synth, out_names, ev_schema = _prepare_parts(
+        conf, dataset_schema(head_events))
     if synth:
         head_events = head_events.map_batches(_add_bucket_maps(synth),
                                               batch_format="pyarrow")
-    left_cols = list(q_schema.names)
-    input_cols = sorted({p.input_column for p in parts})
+    sides, key_types = _serve_sides(queries, head_events, ev_schema, parts,
+                                    ir_table, keys)
+    # full_hops=None auto-detects INSIDE each partition from the checkpoint
+    # rows' _full_hops column — a driver-side take(1) here would execute
+    # the (lazy, uncached) checkpoint pipeline a second time
+    q_schema = sides[0].schema
+    proc = _ServePartition(keys, parts, ev_schema, q_schema.names,
+                           batch_end_ts, full_hops=full_hops,
+                           left_fields=list(q_schema), out_names=out_names,
+                           sides=[s.own(key_types) for s in sides])
+    return copartition(sides, key_types, keys, num_partitions, proc,
+                       pa.schema([*q_schema, *proc.out_fields]))
 
+
+def _serve_sides(queries: ray.data.Dataset, heads: ray.data.Dataset,
+                 ev_schema: pa.Schema, parts: list, ir_table:
+                 ray.data.Dataset, keys: list) -> tuple[list[Side], dict]:
+    """The query (0), head-event (1) and checkpoint (2) sides of a serve,
+    and their shared types: the queries' key types, and ``ts`` as int64
+    (an int32 checkpoint or event key must hash as the query's int64 key,
+    or its features come out null). The checkpoint's ``_full_hops`` rides
+    along for the in-partition layout check."""
+    q_schema = dataset_schema(queries)
+    key_types = {**{k: q_schema.field(k).type for k in keys},
+                 "ts": pa.int64()}
+    ev_cols = dict.fromkeys([*keys, "ts",
+                             *sorted({p.input_column for p in parts})])
     ir_schema = dataset_schema(ir_table)
-
-    union_fields: list[pa.Field] = []
-    seen: set[str] = set()
-
-    def _addf(f: pa.Field):
-        if f.name not in seen:
-            seen.add(f.name)
-            union_fields.append(f)
-
-    for k in keys:
-        _addf(pa.field(k, q_schema.field(k).type))
-    _addf(pa.field("ts", pa.int64()))
-    for f in ir_schema:
-        if f.name not in ("_batch_end_ts", "_part"):
-            _addf(f)  # _full_hops rides along for in-partition detection
-    for c in input_cols:
-        _addf(pa.field(c, ev_schema.field(c).type))
-    for c in left_cols:
-        if c not in seen:
-            _addf(pa.field(c, q_schema.field(c).type))
-    _addf(pa.field("_part", pa.int64()))
-    _addf(pa.field("_kind", pa.int8()))
-
-    def _pad(t: pa.Table) -> pa.Table:
-        cols = {}
-        for f in union_fields:
-            if f.name in t.column_names:
-                c = t[f.name]
-                cols[f.name] = c if c.type == f.type else pc.cast(c, f.type)
-            else:
-                cols[f.name] = pa.nulls(len(t), type=f.type)
-        return pa.table(cols)
-
-    # all three tagged branches MUST hash the same key representation —
-    # an int32 IR-table key vs an int64 query key would otherwise land in
-    # different partitions and silently produce all-null features
-    key_types = {k: q_schema.field(k).type for k in keys}
-
-    def tag(kind: int, ts_col: Optional[str], keep: list):
-        def f(t: pa.Table) -> pa.Table:
-            if kind == 1:  # null-key events never match (removeNulls)
-                t = drop_null_key_rows(t, keys)
-            cols = {k: t[k] for k in keys}
-            if ts_col is not None:
-                cols["ts"] = pc.cast(t[ts_col], pa.int64())
-            for c in keep:
-                if c not in cols and c in t.column_names:
-                    cols[c] = t[c]
-            part = canon_key_hash(t.select(keys), keys, key_types,
-                                  num_partitions)
-            cols["_part"] = pa.array(part)
-            cols["_kind"] = pa.array(np.full(len(t), kind, dtype=np.int8))
-            return _pad(pa.table(cols))
-        f.__name__ = f"tag{kind}"
-        return f
-
-    ir_cols = [f.name for f in ir_schema
-               if f.name not in (*keys, "_batch_end_ts", "_part")]
-    tagged_ir = ir_table.map_batches(tag(0, None, ir_cols),
-                                     batch_format="pyarrow")
-    tagged_ev = head_events.map_batches(tag(1, "ts", input_cols),
-                                        batch_format="pyarrow")
-    tagged_q = queries.map_batches(
-        tag(2, "ts", [c for c in left_cols if c != "ts"]),
-        batch_format="pyarrow")
-
-    left_fields = [q_schema.field(c) for c in left_cols]
-    proc = _ServePartition(keys, parts, ev_schema, left_cols, batch_end_ts,
-                           full_hops=full_hops, left_fields=left_fields,
-                           out_names=out_names)
-    return with_schema(
-        tagged_ir.union(tagged_ev).union(tagged_q)
-        .groupby("_part").map_groups(proc, batch_format="pandas"),
-        pa.schema(left_fields + proc.out_fields))
+    return [Side(queries, q_schema),
+            Side(heads, pa.schema([ev_schema.field(c) for c in ev_cols])),
+            Side(ir_table, pa.schema(
+                [f for f in ir_schema
+                 if f.name not in ("_batch_end_ts", "_part")]))], key_types
 
 
 def roll_checkpoint(
@@ -835,7 +781,7 @@ def roll_checkpoint(
     The checkpoint must have been built with ``full_hops=True`` (a
     collapsed+tail-buffer checkpoint cannot un-collapse hops that the new
     window boundary needs separated)."""
-    from ..util import auto_partitions, dataset_schema, with_schema
+    from ..util import auto_partitions, with_schema
 
     if new_end_ts <= old_end_ts:
         raise ValueError("new_end_ts must be > old_end_ts")

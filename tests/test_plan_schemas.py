@@ -7,8 +7,10 @@ to write data:
 1. a ``backfill_join`` step of 3 or 5 parts and an incremental run are
    one execution each: one exchange whose write tasks write every
    target; ``compute_join`` and ``temporal_join`` are one exchange, and a
-   bootstrapped join one more for its bootstrap merge; sizing an exchange
-   executes nothing (counted with a Ray Data execution callback);
+   bootstrapped join one more for its bootstrap merge; the salted
+   ``temporal_join`` executes nothing while it is planned, then runs its
+   two exchanges as one execution; sizing an exchange executes nothing
+   (counted with a Ray Data execution callback);
 2. the declared schema equals the executed one, for non-empty and zero-row
    inputs alike, and ``write_partitioned`` raises on a wrong one — for a
    step, before any target is written; only files a write task returned
@@ -79,6 +81,12 @@ INC_CONF = GroupByConf(
     aggregations=(agg("n_tok", "sum", [window(7, "d"), UNBOUNDED]),
                   agg("n_tok", "count", [window(1, "d")]),
                   agg("source", "unique_count", [window(7, "d")])))
+
+
+ENT_CONF = GroupByConf(
+    name="ent", sources=(), key_columns=("doc_id",),
+    aggregations=(agg("n_tok", "sum", [window(7, "d"), UNBOUNDED]),
+                  agg("n_tok", "count", [window(1, "d")])))
 
 
 class _CountExecutions:
@@ -220,6 +228,22 @@ def test_temporal_join_runs_one_exchange(tables):
                                 num_partitions=4).materialize()
         assert out.count() > 0
         assert cb.n == 1 and cb.kinds == [(1, False)]
+
+
+def test_salted_temporal_join_plans_without_executing(tables):
+    """The hot-key salted plan executes nothing while it is built, and its
+    result is one execution of its two exchanges."""
+    from chronon_ray.pipelines.temporal import temporal_join
+
+    with count_executions() as cb:
+        out = temporal_join(_scan(tables, "queries", False),
+                            _events(tables, False),
+                            _parts(tables["events"])[0], num_partitions=4,
+                            hot_keys=["doc_00000000"], salt_shards=2)
+        assert cb.n == 0
+        out = out.materialize()
+    assert out.count() > 0
+    assert cb.n == 1 and cb.kinds == [(2, False)]
 
 
 def test_compute_join_bootstrapped_runs_two_exchanges(tables, tmp_path):
@@ -402,6 +426,18 @@ def _build(name, t, empty):
                                 _scan(t, "queries", empty), INC_CONF,
                                 _batch_end(t), num_partitions=4,
                                 full_hops=True)
+    if name == "temporal_entities_join":
+        from chronon_ray.pipelines.mutations import temporal_entities_join
+        from chronon_ray.util import map_typed
+
+        # the entity rows: the events of the days before the queries as
+        # daily snapshots, those of the query days as inserts
+        snaps = _scan(t, "events", empty, days=(-5, -3))
+        muts = map_typed(_events(t, empty), lambda b: b.rename_columns(
+            ["mutation_ts" if c == "ts" else c for c in b.column_names])
+            .append_column("is_before", pa.array([False] * len(b))))
+        return temporal_entities_join(_scan(t, "queries", empty), snaps,
+                                      muts, ENT_CONF, num_partitions=4)
     raise AssertionError(name)
 
 
@@ -414,7 +450,7 @@ def _pairs(schema):
     "scan_table", "distinct_rows", "temporal_join", "temporal_join_salted",
     "key_partitioned_join", "compute_join", "bootstrap_join",
     "groupby_upload", "roll_checkpoint", "serve_with_events",
-    "serve_with_tiles"])
+    "serve_with_tiles", "temporal_entities_join"])
 def test_declared_schema_equals_executed(tables, name, empty):
     ds = _build(name, tables, empty)
     declared = known_schema(ds)
@@ -577,7 +613,9 @@ def test_pipeline_udfs_capture_no_dataset(tables, tmp_path, monkeypatch):
     backfill_incremental(tables["queries"], tables["events"], INC_CONF,
                          str(tmp_path / "o"), str(tmp_path / "c"), start,
                          end, num_partitions=4)
-    for name in ("temporal_join_salted", "key_partitioned_join"):
+    for name in ("temporal_join_salted", "key_partitioned_join",
+                 "serve_with_events", "serve_with_tiles",
+                 "temporal_entities_join"):
         _build(name, tables, False)
     assert found == []
 

@@ -5,6 +5,7 @@ groups in budget_sample, and schema preservation in incremental dedup."""
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
 from chronon_ray.api import GroupByConf, UNBOUNDED, agg, window
@@ -52,28 +53,84 @@ def test_serve_output_left_dtypes(ray_session):
     assert pa.types.is_integer(t.schema.field("value_count_1d").type)
 
 
-def test_serve_cross_dtype_keys(ray_session):
-    """int32 event/IR keys vs int64 query keys must co-partition (canonical
-    key hashing) — mismatched hashing silently yields all-null features."""
+SERVE_FAMILY = ["serve_with_events", "serve_with_tiles",
+                "temporal_entities_join"]
+
+
+def _serve_family(name, q, key_dtype=np.int64):
+    """Features of the queries ``q`` (``user_id``, ``ts`` on day 15)
+    through ``name``, over the events of ``_mk_events`` with keys of
+    ``key_dtype``: a checkpoint of the events before day 15 plus the head
+    events, or those events as the day-14 snapshot of an entity table plus
+    the head events as inserts."""
+    from chronon_ray.pipelines.mutations import temporal_entities_join
+    from chronon_ray.pipelines.streaming import make_tiles, serve_with_tiles
     from chronon_ray.pipelines.upload import groupby_upload, serve_with_events
 
     conf = GroupByConf(
         name="d", sources=(), key_columns=("user_id",),
-        aggregations=(agg("value", "sum", [UNBOUNDED]),),
+        aggregations=(agg("value", "sum", [UNBOUNDED]),
+                      agg("value", "count", [UNBOUNDED])),
     )
-    ev = _mk_events(key_dtype=np.int32)
+    ev = _mk_events(key_dtype=key_dtype)
     batch_end = BASE + 15 * DAY
     head = ev[ev.ts >= batch_end]
-    q = pd.DataFrame({
+    if name == "temporal_entities_join":
+        snaps = ev[ev.ts < batch_end][["user_id", "value"]].assign(
+            ds=pd.Timestamp(batch_end - DAY, unit="ms").strftime("%Y-%m-%d"))
+        muts = head.rename(columns={"ts": "mutation_ts"}).assign(
+            is_before=False)
+        out = temporal_entities_join(rd.from_pandas(q), rd.from_pandas(snaps),
+                                     rd.from_pandas(muts), conf,
+                                     num_partitions=7)
+    else:
+        ir = groupby_upload(rd.from_pandas(ev), conf, batch_end,
+                            num_partitions=7)
+        if name == "serve_with_events":
+            out = serve_with_events(ir, rd.from_pandas(head),
+                                    rd.from_pandas(q), conf, batch_end,
+                                    num_partitions=7)
+        else:
+            tiles = make_tiles(rd.from_pandas(head), conf, batch_end,
+                               num_partitions=7)
+            out = serve_with_tiles(ir, tiles, rd.from_pandas(head),
+                                   rd.from_pandas(q), conf, batch_end,
+                                   num_partitions=7)
+    return out.to_pandas().sort_values("user_id", ignore_index=True)
+
+
+def _day15_queries():
+    return pd.DataFrame({
         "user_id": np.arange(23, dtype=np.int64),
-        "ts": np.full(23, batch_end + DAY // 2, dtype=np.int64),
+        "ts": np.full(23, BASE + 15 * DAY + DAY // 2, dtype=np.int64),
     })
-    ir = groupby_upload(rd.from_pandas(ev), conf, batch_end,
-                        num_partitions=7)
-    out = serve_with_events(ir, rd.from_pandas(head), rd.from_pandas(q),
-                            conf, batch_end, num_partitions=7).to_pandas()
+
+
+@pytest.mark.parametrize("name", SERVE_FAMILY)
+def test_serve_cross_dtype_keys(ray_session, name):
+    """int32 event/IR/tile/snapshot/mutation keys vs int64 query keys must
+    co-partition (canonical key hashing) — mismatched hashing silently
+    yields all-null features."""
+    out = _serve_family(name, _day15_queries(), key_dtype=np.int32)
     assert len(out) == 23
     assert out["value_sum"].notna().all()
+
+
+@pytest.mark.parametrize("name", SERVE_FAMILY)
+def test_query_column_named_like_an_input(ray_session, name):
+    """A query column named like an event input column (``value``, a
+    float64) comes back unchanged, whatever its type, and the features
+    equal those of the same call without it: each side crosses the
+    exchange under its own names, not as one padded union typed by the
+    input column."""
+    q = _day15_queries()
+    plain = _serve_family(name, q)
+    feats = ["value_sum", "value_count"]
+    for col in ([f"s{i}" for i in range(23)],
+                [2**53 + 1 + i for i in range(23)]):
+        out = _serve_family(name, q.assign(value=col))
+        assert out["value"].tolist() == col
+        pd.testing.assert_frame_equal(out[feats], plain[feats])
 
 
 def test_serve_null_key_query_rows_preserved(ray_session):
