@@ -102,15 +102,6 @@ def run_bench() -> dict:
         left_pinned = rd.read_parquet(paths["queries_shards"],
                                       override_num_blocks=8).materialize()
 
-    # hot-key detection is a property of the DATA, not of one run — detect
-    # once outside the timed region (a backfill driver would likewise reuse
-    # the analyzer's heavy-hitter sample across steps)
-    from chronon_ray.pipelines.salting import detect_hot_keys
-
-    _ev_det = ev_pinned if pin else rd.read_parquet(
-        paths["events_shards"], override_num_blocks=nblocks)
-    hot = detect_hot_keys(_ev_det, "doc_id", 64) or None
-
     def _headline_once() -> tuple[int, float]:
         if pin:
             ev, left = ev_pinned, left_pinned
@@ -124,12 +115,10 @@ def run_bench() -> dict:
         # jobs). 64 parts at 32 cpus is 2 waves and straggler-bound
         # (measured 42.8k rows/s vs 57-60k at 128 on bench_xl).
         # run_scaling sets BENCH_PARTS=128; the plain sf0.1 headline keeps
-        # its measured-best 64. salt_shards stays pinned (hot-key count is
-        # a data property, not a resource one).
+        # its measured-best 64.
         nparts = int(os.environ.get("BENCH_PARTS", "64"))
         t0 = time.perf_counter()
-        n = temporal_join(left, ev, conf, num_partitions=nparts,
-                          hot_keys=hot, salt_shards=16).count()
+        n = temporal_join(left, ev, conf, num_partitions=nparts).count()
         return n, time.perf_counter() - t0
 
     _headline_once()  # untimed warmup: absorbs ray worker startup

@@ -4,8 +4,7 @@ A Join is an as-of join of one left table against the windowed aggregates
 of every joinPart (reference: spark/JoinBase.scala:132-227
 computeJoinOpt). ``join_step`` plans it as ONE exchange, the way LMFAO
 computes a batch of group-by aggregates with shared work. It is the only
-as-of join plan apart from the salted hot-key plan of
-``temporal._salted_temporal_join``; its callers are
+as-of join plan; its callers are
 ``temporal.temporal_join`` (one computed part), ``joins.compute_join``
 (every part computed), ``joins.compute_join_bootstrapped`` (every part
 computed where a bootstrap left a gap) and ``backfill.backfill_join`` (per

@@ -84,8 +84,7 @@ def apply_derivations(ds: ray.data.Dataset, derivations: Sequence[tuple],
 
 def skew_filter(ds: ray.data.Dataset, skew_keys: Sequence[tuple]) -> ray.data.Dataset:
     """Drop rows whose key is a declared hot key (reference skewFilter,
-    api/Extensions.scala:950-1000) — those keys are served by a dedicated
-    salted path or excluded outright."""
+    api/Extensions.scala:950-1000) — those keys are excluded outright."""
     if not skew_keys:
         return ds
 

@@ -84,6 +84,16 @@ def _validate_tile(conf: GroupByConf, tile_ms: int) -> None:
                 f"would straddle tiles; use default_tile_ms(conf)")
 
 
+def _tile_schema(keys, key_types: dict) -> pa.Schema:
+    """The rows of a tile table: the keys, then ``_tile``, ``_tirs``,
+    ``_tile_ms`` and ``_part``."""
+    return pa.schema([*(pa.field(k, key_types[k]) for k in keys),
+                      pa.field("_tile", pa.int64()),
+                      pa.field("_tirs", pa.binary()),
+                      pa.field("_tile_ms", pa.int64()),
+                      pa.field("_part", pa.int64())])
+
+
 def make_tiles(
     events: ray.data.Dataset,
     conf: GroupByConf,
@@ -98,7 +108,7 @@ def make_tiles(
     the temporal join's data-side removeNulls. Per-(key, tile) py-IR boxing
     is the same cost class as groupby_upload's tail-hop build — bounded by
     the streaming head, never the batch history."""
-    from ..util import auto_partitions, dataset_schema
+    from ..util import auto_partitions, dataset_schema, with_schema
 
     keys = list(conf.key_columns)
     schema = dataset_schema(events)
@@ -125,14 +135,7 @@ def make_tiles(
     one_agg = {bp.name: RowAggregator([bp.part], schema)
                for bp in agg.bound}
     key_types = {k: schema.field(k).type for k in keys}
-
-    def _empty() -> pa.Table:
-        cols = {k: pa.array([], type=key_types[k]) for k in keys}
-        cols["_tile"] = pa.array([], type=pa.int64())
-        cols["_tirs"] = pa.array([], type=pa.binary())
-        cols["_tile_ms"] = pa.array([], type=pa.int64())
-        cols["_part"] = pa.array([], type=pa.int64())
-        return pa.table(cols)
+    out_schema = _tile_schema(keys, key_types)
 
     def partials(tbl: pa.Table) -> pa.Table:
         ts = pc.cast(tbl["ts"], pa.int64())
@@ -143,7 +146,7 @@ def make_tiles(
             mask = pc.and_(mask, pc.is_valid(tbl[k]))
         tbl = tbl.filter(mask)
         if len(tbl) == 0:
-            return _empty()
+            return out_schema.empty_table()
         kdf = tbl.select(keys).to_pandas()
         codes, uniq = _factorize_keys(kdf, keys)
         ts_row = tbl["ts"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -177,8 +180,8 @@ def make_tiles(
     partials.__name__ = "tile_partials"
     shuffled = events.map_batches(partials, batch_format="pyarrow")
     merge = _TileMerge(keys, conf, key_types)
-    return shuffled.groupby("_part").map_groups(merge,
-                                                batch_format="pandas")
+    return with_schema(shuffled.groupby("_part").map_groups(
+        merge, batch_format="pandas"), out_schema)
 
 
 class _TileMerge:
@@ -266,7 +269,7 @@ def merge_tiles(
     advance. ``expire_before_ts`` drops tiles that can no longer intersect
     any window (valid only once no part is unbounded, or after the batch
     checkpoint has rolled past them)."""
-    from ..util import auto_partitions, dataset_schema
+    from ..util import auto_partitions, dataset_schema, with_schema
 
     keys = list(conf.key_columns)
     schema = dataset_schema(a)
@@ -286,8 +289,8 @@ def merge_tiles(
         b.map_batches(rehash, batch_format="pyarrow"))
     merge = _TileMerge(keys, conf, key_types,
                        expire_before_ts=expire_before_ts)
-    return unioned.groupby("_part").map_groups(merge,
-                                               batch_format="pandas")
+    return with_schema(unioned.groupby("_part").map_groups(
+        merge, batch_format="pandas"), _tile_schema(keys, key_types))
 
 
 class _TiledServePartition(_ServePartition):
@@ -470,10 +473,9 @@ def serve_with_tiles(
                                                   batch_format="pyarrow")
     sides, key_types = _serve_sides(queries, recent_events, ev_schema, parts,
                                     ir_table, keys)
-    sides.append(Side(tiles, pa.schema(
-        [*(pa.field(k, key_types[k]) for k in keys),
-         pa.field("_tile", pa.int64()), pa.field("_tirs", pa.binary()),
-         pa.field("_tile_ms", pa.int64())])))
+    tile_schema = _tile_schema(keys, key_types)
+    sides.append(Side(tiles, tile_schema.remove(
+        tile_schema.get_field_index("_part"))))
     q_schema = sides[0].schema
     proc = _TiledServePartition(keys, parts, ev_schema, q_schema.names,
                                 batch_end_ts, full_hops=full_hops,

@@ -34,13 +34,11 @@ groupByKey+leftOuterJoin chain with one co-partitioned pass):
      code) bounds the run of queries that count it, found by searchsorted,
      and a difference array sums the runs — O(E·log E + (E+Q)·log Q) per
      partition, no python loop;
-   - sawtooth family (APPROX_*/HISTOGRAM/TOP_K/BOTTOM_K/MIN/MAX, all
-     bucketed or map-input parts, and UNIQUE_COUNT partials for the salted
-     merge): per-key hop-tiled two-stack engine (windowing/sawtooth.py)
-     with hop-IR caching across windows.
+   - sawtooth family (APPROX_*/HISTOGRAM/TOP_K/BOTTOM_K/MIN/MAX and all
+     bucketed or map-input parts): per-key hop-tiled two-stack engine
+     (windowing/sawtooth.py) with hop-IR caching across windows.
 
-No stage materializes the dataset; the output streams out of the groupby
-(out of the second, merge groupby on the salted ``hot_keys`` path).
+No stage materializes the dataset; the output streams out of the groupby.
 """
 
 from __future__ import annotations
@@ -54,12 +52,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from ..api import Accuracy, AggregationPart, GroupByConf, Operation, Window
+from ..api import AggregationPart, GroupByConf, Operation, Window
 from ..aggregators.ops import OPS, AggOp, one_nan
-from ..windowing.resolution import tail_hop_millis, window_tail
+from ..windowing.resolution import window_tail
 from ..windowing.sawtooth import sawtooth_one_key
-from .groupby import canon_key_table as _canon_key_table
-from .groupby import stable_key_hash
 
 DEFAULT_NUM_PARTITIONS = 200
 
@@ -129,13 +125,11 @@ class TieBreakSliceOp(AggOp):
 
     Values are ``(payload, tb)`` pairs. FIRST/LAST IR = ``(key, payload)``
     and FIRST_K/LAST_K IR = ``[(key, payload), ...]`` with ``key =
-    _tb_key(ts, tb)``, so every comparison — including CROSS-SHARD merges in
-    the salted path — resolves equal-ts collisions by the configured
-    tie_break column, matching the vectorized unbucketed slice contract
-    (reference TimedAggregators.scala:74-112). The temporal engine applies
-    this wrapper to BUCKETED slice parts whenever tie_break is configured,
-    in both finalized and partial modes, so salted and unsalted runs
-    bit-match."""
+    _tb_key(ts, tb)``, so every comparison — including merges of hop IRs —
+    resolves equal-ts collisions by the configured tie_break column,
+    matching the vectorized unbucketed slice contract (reference
+    TimedAggregators.scala:74-112). The temporal engine applies this
+    wrapper to BUCKETED slice parts whenever tie_break is configured."""
 
     needs_ts = True
 
@@ -263,17 +257,15 @@ class MapPyOp(AggOp):
                       for k, v in ir.items())
 
 
-def _family(part: AggregationPart, partials: bool = False) -> str:
-    """Kernel family of a part over a non-map input; ``partials`` (the
-    salted path's mergeable IRs) keeps UNIQUE_COUNT on the sawtooth
-    engine's sets."""
+def _family(part: AggregationPart) -> str:
+    """Kernel family of a part over a non-map input."""
     if part.bucket is not None:
         return "sawtooth"
     if part.operation in _PREFIX_OPS:
         return "prefix"
     if part.operation in _SLICE_OPS:
         return "slice"
-    if part.operation == Operation.UNIQUE_COUNT and not partials:
+    if part.operation == Operation.UNIQUE_COUNT:
         return "distinct"
     return "sawtooth"
 
@@ -284,14 +276,13 @@ class TemporalPartition:
     def __init__(self, keys: Sequence[str], parts: list[AggregationPart],
                  right_schema: pa.Schema, left_cols: list[str],
                  tie_break: Optional[str] = None, daily: bool = False,
-                 emit_partials: bool = False, exact: bool = False):
+                 exact: bool = False):
         self.__name__ = type(self).__name__
         self.daily = daily  # SNAPSHOT accuracy → DailyResolution hops
         self.exact = exact  # per-event windows, no sawtooth tail rounding
         if exact and daily:
             raise ValueError("exact windows and daily (snapshot) accuracy "
                              "are mutually exclusive")
-        self.emit_partials = emit_partials  # salted path: mergeable IR columns
         self.keys = list(keys)
         self.parts = parts
         self.right_schema = right_schema
@@ -319,25 +310,10 @@ class TemporalPartition:
             t = pa.map_(pa.string(), base) if p.bucket is not None else base
             self.out_fields.append(pa.field(p.output_name, t))
         self._fams = ["sawtooth" if i in self._map_part_idx
-                      else _family(p, emit_partials)
+                      else _family(p)
                       for i, p in enumerate(parts)]
-        if emit_partials:
-            from .salting import partial_fields
-
-            self.partial_out_fields = partial_fields(
-                parts, right_schema,
-                tie_break=tie_break if tie_break
-                and tie_break in right_schema.names else None)
 
     # ------------------------------------------------------------------
-
-    def __call__(self, tbl: pa.Table) -> pa.Table:
-        is_q = tbl["_is_q"].to_numpy(zero_copy_only=False).astype(bool)
-        q_keep = list(dict.fromkeys([*self.left_cols,
-                                     *[k for k in self.keys
-                                       if k in tbl.column_names]]))
-        return self.join(tbl.filter(pa.array(is_q)).select(q_keep),
-                         tbl.filter(pa.array(~is_q)))
 
     def join(self, q_tbl: pa.Table, e_tbl: pa.Table) -> pa.Table:
         """Features of the queries ``q_tbl`` (keys, ts and ``left_cols``)
@@ -346,10 +322,9 @@ class TemporalPartition:
         per part."""
         nq = len(q_tbl)
         if nq == 0:
-            fields = self.partial_out_fields if self.emit_partials else self.out_fields
             return pa.table({
                 **{c: q_tbl[c] for c in self.left_cols},
-                **{f.name: pa.nulls(0, f.type) for f in fields},
+                **{f.name: pa.nulls(0, f.type) for f in self.out_fields},
             })
 
         # ---- unified key codes over queries + events
@@ -410,27 +385,6 @@ class TemporalPartition:
         feature_arrays: dict[str, pa.Array] = {}
         saw_parts = [(i, p) for i, p in enumerate(self.parts)
                      if self._fams[i] == "sawtooth"]
-        if self.emit_partials:
-            for i, p in enumerate(self.parts):
-                fam = self._fams[i]
-                if fam == "prefix":
-                    feature_arrays.update(self._prefix_partial(
-                        p, e_tbl, head_idx, tail_index))
-                elif fam == "slice":
-                    feature_arrays.update(self._slice_partial(
-                        p, e_tbl, e_ts, head_idx, tail_index))
-            if saw_parts:
-                import pickle as _pkl
-
-                saw = self._sawtooth_features(saw_parts, e_tbl, e_key, e_ts,
-                                              q_key, q_ts,
-                                              transform=_pkl.dumps)
-                for name, arr in saw.items():
-                    feature_arrays[f"{name}__pkl"] = arr
-            cols = {c: q_tbl[c] for c in self.left_cols}
-            for f in self.partial_out_fields:
-                cols[f.name] = feature_arrays[f.name]
-            return pa.table(cols)
         for i, p in enumerate(self.parts):
             fam = self._fams[i]
             if fam == "prefix":
@@ -500,91 +454,6 @@ class TemporalPartition:
             cs = np.concatenate([[0.0], np.cumsum(m)])
             s.append(cs[r] - cs[l])
         return n, s
-
-    def _prefix_partial(self, p: AggregationPart, e_tbl, head_idx, tail_index):
-        n, s = self._prefix_moments(p, e_tbl, head_idx, tail_index)
-        name = p.output_name
-        out = {f"{name}__n": pa.array(n, type=pa.float64())}
-        for k, sk in enumerate(s, start=1):
-            out[f"{name}__s{k}"] = pa.array(sk, type=pa.float64())
-        return out
-
-    def _slice_partial(self, p: AggregationPart, e_tbl, e_ts, head_idx, tail_index):
-        col = e_tbl[p.input_column]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
-        nn_pos = np.flatnonzero(valid)
-        l = tail_index(p.window)
-        r = head_idx
-        j_l = np.searchsorted(nn_pos, l, side="left")
-        j_r = np.searchsorted(nn_pos, r, side="left")
-        have = j_r > j_l
-        name = p.output_name
-        # tie-break slot: events are (ts, tb)-sorted within the shard, so
-        # the picked rows are shard-correct; emitting their tb lets the
-        # cross-shard merge resolve equal-ts collisions by (ts, tb) too
-        tb_col = None
-        if self.tie_break and self.tie_break in e_tbl.column_names:
-            tb_col = e_tbl[self.tie_break]
-            if isinstance(tb_col, pa.ChunkedArray):
-                tb_col = tb_col.combine_chunks()
-        if p.operation in (Operation.FIRST, Operation.LAST):
-            if len(nn_pos) == 0:
-                out = {f"{name}__ts": pa.nulls(len(have), pa.float64()),
-                       f"{name}__payload": pa.nulls(len(have), col.type)}
-                if tb_col is not None:
-                    out[f"{name}__tb"] = pa.nulls(len(have), tb_col.type)
-                return out
-            if p.operation == Operation.FIRST:
-                pos = nn_pos[np.minimum(j_l, len(nn_pos) - 1)]
-            else:
-                pos = nn_pos[np.clip(j_r - 1, 0, len(nn_pos) - 1)]
-            ts_out = np.where(have, e_ts[pos].astype(np.float64), np.nan)
-            idx_arr = pa.array(np.where(have, pos, 0).astype(np.int64))
-            taken = col.take(idx_arr)
-            if (~have).any():
-                taken = pc.if_else(pa.array(have), taken,
-                                   pa.nulls(len(have), col.type))
-            out = {f"{name}__ts": pa.array(ts_out, from_pandas=True),
-                   f"{name}__payload": taken}
-            if tb_col is not None:
-                tb_taken = tb_col.take(idx_arr)
-                if (~have).any():
-                    tb_taken = pc.if_else(pa.array(have), tb_taken,
-                                          pa.nulls(len(have), tb_col.type))
-                out[f"{name}__tb"] = tb_taken
-            return out
-        # FIRST_K / LAST_K: per-shard top-k candidates with their ts order keys
-        k = p.get_int("k")
-        lens = np.minimum(j_r - j_l, k)
-        lens = np.where(have, lens, 0)
-        offs = np.zeros(len(lens) + 1, dtype=np.int64)
-        np.cumsum(lens, out=offs[1:])
-        total = int(offs[-1])
-        within = np.arange(total, dtype=np.int64) - np.repeat(offs[:-1], lens)
-        if p.operation == Operation.LAST_K:
-            j = np.repeat(j_r - 1, lens) - within
-        else:
-            j = np.repeat(j_l, lens) + within
-        flat_idx = nn_pos[j] if len(nn_pos) else np.array([], dtype=np.int64)
-        o_inner = pa.array(e_ts[flat_idx].astype(np.int64)) if len(flat_idx) else             pa.array([], type=pa.int64())
-        p_inner = col.take(pa.array(flat_idx))
-        mask = ~have
-        o_arr = pa.LargeListArray.from_arrays(
-            pa.array(offs, type=pa.int64()), o_inner,
-            mask=pa.array(mask) if mask.any() else None).cast(pa.list_(pa.int64()))
-        p_arr = pa.LargeListArray.from_arrays(
-            pa.array(offs, type=pa.int64()), p_inner,
-            mask=pa.array(mask) if mask.any() else None)
-        out = {f"{name}__o": o_arr, f"{name}__p": p_arr}
-        if tb_col is not None:
-            tb_inner = tb_col.take(pa.array(flat_idx))
-            out[f"{name}__otb"] = pa.LargeListArray.from_arrays(
-                pa.array(offs, type=pa.int64()), tb_inner,
-                mask=pa.array(mask) if mask.any() else None) \
-                .cast(pa.list_(tb_col.type))
-        return out
 
     def _prefix_feature(self, p: AggregationPart, e_tbl, head_idx, tail_index,
                         out_type) -> pa.Array:
@@ -848,7 +717,7 @@ class TemporalPartition:
         return prebuilt
 
     def _sawtooth_features(self, saw_parts, e_tbl: pa.Table, e_key, e_ts, q_key,
-                           q_ts, transform=None):
+                           q_ts):
         nq = len(q_key)
         results: dict[str, list] = {self.parts[i].output_name: [None] * nq
                                     for i, _ in saw_parts}
@@ -964,15 +833,14 @@ class TemporalPartition:
                             np.array([], dtype=np.int64), [])
                 res = sawtooth_one_key(op, replace(p, bucket=None), p.window,
                                        ets, evs, qts, hops_cache=cache,
-                                       daily=self.daily, transform=transform,
-                                       exact=self.exact)
+                                       daily=self.daily, exact=self.exact)
                 out_list = results[p.output_name]
                 for t, v in enumerate(res):
                     out_list[a + t] = v
         out: dict[str, pa.Array] = {}
         for i, p in saw_parts:
-            t = pa.binary() if transform is not None else self.out_fields[i].type
-            out[p.output_name] = pa.array(results[p.output_name], type=t)
+            out[p.output_name] = pa.array(results[p.output_name],
+                                          type=self.out_fields[i].type)
         return out
 
 
@@ -1009,8 +877,6 @@ def temporal_join(
     num_partitions: Optional[int] = DEFAULT_NUM_PARTITIONS,
     left_schema: Optional[pa.Schema] = None,
     right_schema: Optional[pa.Schema] = None,
-    hot_keys=None,
-    salt_shards: Optional[int] = None,
     exact_windows: bool = False,
 ) -> ray.data.Dataset:
     """left (key, ts, ...) ⟕ windowed aggregates of right events, PITC:
@@ -1025,13 +891,6 @@ def temporal_join(
     ``num_partitions=None`` auto-sizes the exchange from the inputs'
     metadata (``util.auto_partitions``) so partition memory stays bounded
     at any input scale.
-
-    ``hot_keys``: None (no salting), "auto" (sample the event stream and salt
-    keys that would dominate a partition), or an explicit key list — scalars
-    for single-key confs, tuples for composite keys (matched on the stable
-    composite key hash). Hot keys take the salted two-stage path
-    (pipelines/salting.py); cold keys the single-pass path; outputs are
-    unioned.
 
     ``exact_windows=True`` computes per-event exact windows [q.ts - w, q.ts)
     instead of the reference's sawtooth (hop-rounded tail) semantics —
@@ -1050,27 +909,6 @@ def temporal_join(
         from ..util import auto_partitions
 
         num_partitions = auto_partitions(left_ds, right_ds)
-    if hot_keys == "auto":
-        from .salting import detect_hot_keys
-
-        hot_keys = detect_hot_keys(right_ds, list(conf.key_columns),
-                                   num_partitions)
-    if hot_keys:
-        if salt_shards is None:
-            # hot-side parallelism = n_hot × shards distinct (key, salt)
-            # groups — size it so the hot work can occupy ~2 tasks/cpu on
-            # the cluster, floor 8 (the r1-measured break-even)
-            import math as _math
-
-            import ray as _ray
-
-            cpus = int(_ray.cluster_resources().get("CPU", 8)) \
-                if _ray.is_initialized() else 8
-            salt_shards = max(8, _math.ceil(2 * cpus / max(1, len(hot_keys))))
-        return _salted_temporal_join(left_ds, right_ds, conf, num_partitions,
-                                     list(hot_keys), salt_shards,
-                                     exact=exact_windows)
-
     left_names = dataset_schema(left_ds).names
     out = join_step(left_ds, conf.key_columns,
                     [StepPart("", conf, right_ds, True, exact=exact_windows)],
@@ -1078,218 +916,6 @@ def temporal_join(
     # join_step puts the keys and ts first and ends with its FIRST flag
     order = (*left_names, *dataset_schema(out).names[len(left_names):-1])
     return map_typed(out, lambda t, cols=order: t.select(list(cols)))
-
-
-def _salted_temporal_join(left_ds, right_ds, conf, num_partitions,
-                          hot_keys: list, salt_shards: int,
-                          exact: bool = False):
-    """Single-pass salted plan: ONE scan of each input, ONE exchange of
-    the events.
-
-    Cold rows hash into partitions [0, num_partitions); each hot
-    (key, salt) pair gets its OWN dedicated partition id >= num_partitions
-    (deterministic — hot work never shares a task with cold keys). The
-    partition processor dispatches on the partition id: cold partitions
-    emit finalized rows, hot partitions emit mergeable per-query partials.
-    Every row of that shuffle's output (output-sized) takes a second,
-    small one: a hot query's partials meet on its query id and merge into
-    one row, a cold partition's finalized rows pass through. The plan is
-    lazy: nothing executes until its rows are consumed."""
-    import uuid
-
-    from ..util import dataset_schema, drop_null_key_rows, with_schema
-    from .join_step import unique_parts
-    from .salting import SaltedMerge, partial_fields
-
-    if conf.accuracy == Accuracy.SNAPSHOT:
-        raise NotImplementedError(
-            "hot-key salting of a SNAPSHOT-accuracy conf is unsupported")
-    keys = list(conf.key_columns)
-    parts = unique_parts(conf)
-    left_schema = dataset_schema(left_ds)
-    left_cols = list(left_schema.names)
-    right_schema = pruned_events_schema(conf, dataset_schema(right_ds))
-    S = salt_shards
-
-    # the left's fields, then the events' own: the padded union schema
-    fields = [*left_schema, *(f for f in right_schema
-                              if f.name not in left_schema.names)]
-    _ftypes = {f.name: f.type for f in fields}
-    # the hot-key probe and all partition hashing run on the UNION key
-    # types so cross-dtype left/right keys classify and partition alike.
-    # Multi-key confs match on the stable COMPOSITE key hash: a cold key
-    # whose hash collides with a hot one merely takes the salted path too
-    # (the per-shard processor still groups by the real key columns, so
-    # collisions cost routing, never correctness).
-    hot_tuples = [k if isinstance(k, tuple) else (k,) for k in hot_keys]
-    hot_tbl = pa.table({
-        k: pa.array([tup[j] for tup in hot_tuples]).cast(_ftypes[k])
-        for j, k in enumerate(keys)})
-    hot_hash_arr = pa.array(stable_key_hash(
-        _canon_key_table(hot_tbl, keys, _ftypes).to_pandas(), keys)
-        .view(np.int64))
-    fields = fields + [pa.field("_qid_hi", pa.int64()),
-                       pa.field("_qid_lo", pa.int64()),
-                       pa.field("_salt", pa.int8())]
-
-    def _pad(t: pa.Table, extra: dict, is_q: int) -> pa.Table:
-        n = len(t)
-        cols = {}
-        for f in fields:
-            if f.name in extra:
-                cols[f.name] = extra[f.name]
-            elif f.name in t.column_names:
-                c = t[f.name]
-                cols[f.name] = c if c.type == f.type else pc.cast(c, f.type)
-            else:
-                cols[f.name] = pa.nulls(n, type=f.type)
-        cols["_part"] = extra["_part"]
-        cols["_is_q"] = pa.array(np.full(n, is_q, dtype=np.int8))
-        return pa.table(cols)
-
-    def tag(t: pa.Table, is_q: int) -> pa.Table:
-        if not is_q:
-            t = drop_null_key_rows(t, keys)  # reference removeNulls
-        h = stable_key_hash(_canon_key_table(t, keys, _ftypes).to_pandas(),
-                            keys)
-        hi = pc.index_in(pa.array(h.view(np.int64)),
-                         value_set=hot_hash_arr).to_numpy(zero_copy_only=False)
-        hot_mask = ~pd.isna(hi)
-        cold = ~hot_mask
-        hot_t = t.filter(pa.array(hot_mask))
-        outs = [_pad(t.filter(pa.array(cold)), {
-            "_part": pa.array((h[cold] % num_partitions).astype(np.int64)),
-            "_salt": pa.array(np.full(int(cold.sum()), -1, dtype=np.int8)),
-        }, is_q)]
-        n = len(hot_t)
-        idx = hi[hot_mask].astype(np.int64)
-        if n and is_q:
-            # replicate hot queries to every salt shard with collision-free
-            # (_qid_hi random-63-bit batch id, _qid_lo dense ordinal) ids
-            base = uuid.uuid4().int & ((1 << 63) - 1)
-            rep = pa.table({
-                c: pa.concat_arrays(
-                    [hot_t[c].combine_chunks()
-                     if isinstance(hot_t[c], pa.ChunkedArray)
-                     else hot_t[c]] * S)
-                for c in hot_t.column_names})
-            salt = np.repeat(np.arange(S, dtype=np.int64), n)
-            part = num_partitions + np.tile(idx, S) * S + salt
-            outs.append(_pad(rep, {
-                "_part": pa.array(part),
-                "_salt": pa.array(salt.astype(np.int8)),
-                "_qid_hi": pa.array(
-                    np.full(n * S, base, dtype=np.uint64).view(np.int64)),
-                "_qid_lo": pa.array(np.tile(np.arange(n, dtype=np.int64), S)),
-            }, is_q))
-        elif n:
-            salt = np.arange(n, dtype=np.int64) % S
-            outs.append(_pad(hot_t, {
-                "_part": pa.array(num_partitions + idx * S + salt),
-                "_salt": pa.array(salt.astype(np.int8)),
-            }, is_q))
-        return pa.concat_tables(outs)
-
-    def salt_tag_left(t: pa.Table) -> pa.Table:
-        return tag(t, 1)
-
-    def salt_tag_events(t: pa.Table) -> pa.Table:
-        return tag(t, 0)
-
-    unioned = left_ds.map_batches(salt_tag_left, batch_format="pyarrow").union(
-        right_ds.map_batches(salt_tag_events, batch_format="pyarrow"))
-
-    cold_proc = TemporalPartition(keys, parts, right_schema, left_cols,
-                                  tie_break=conf.tie_break_column,
-                                  exact=exact)
-    hot_proc = TemporalPartition([*keys, "_salt"], parts, right_schema,
-                                 [*left_cols, "_qid_hi", "_qid_lo"],
-                                 tie_break=conf.tie_break_column,
-                                 emit_partials=True, exact=exact)
-    final_fields = cold_proc.out_fields
-    part_fields = partial_fields(
-        parts, right_schema,
-        tie_break=conf.tie_break_column if conf.tie_break_column
-        and conf.tie_break_column in right_schema.names else None)
-    out_schema = pa.schema(
-        [left_schema.field(c) for c in left_cols]
-        + final_fields
-        + [f for f in part_fields
-           if f.name not in {g.name for g in final_fields}]
-        + [pa.field("_qid_hi", pa.int64()), pa.field("_qid_lo", pa.int64()),
-           pa.field("_partial", pa.int8())])
-
-    final_order = [*left_cols, *[f.name for f in final_fields]]
-    final_schema = pa.schema([*left_schema, *final_fields])
-    merge_parts = max(8, num_partitions // 8)
-
-    class _Dispatch:
-        """Each partition's rows in ``out_schema``, routed to the merge
-        partition ``_part2``: a hot query's partials by its query id, a
-        cold partition's finalized rows by its partition id."""
-        __name__ = "SaltedDispatch"
-
-        def __call__(self, tbl: pa.Table) -> pa.Table:
-            if len(tbl) == 0:
-                return out_schema.empty_table().append_column(
-                    "_part2", pa.array([], pa.int64()))
-            part = int(tbl["_part"][0].as_py())
-            hot = part >= num_partitions
-            res = (hot_proc if hot else cold_proc)(tbl)
-            n = len(res)
-            cols = {}
-            for f in out_schema:
-                if f.name == "_partial":
-                    cols[f.name] = pa.array(
-                        np.full(n, 1 if hot else 0, dtype=np.int8))
-                elif f.name in res.column_names:
-                    c = res[f.name]
-                    cols[f.name] = c if c.type == f.type \
-                        else pc.cast(c, f.type)
-                else:
-                    cols[f.name] = pa.nulls(n, type=f.type)
-            if hot:
-                hi = res["_qid_hi"].to_numpy(
-                    zero_copy_only=False).view(np.uint64)
-                lo = res["_qid_lo"].to_numpy(
-                    zero_copy_only=False).view(np.uint64)
-                mixed = (hi * np.uint64(0x9E3779B97F4A7C15)) ^ lo
-                part2 = (mixed % np.uint64(merge_parts)).astype(np.int64)
-            else:
-                part2 = np.full(n, part % merge_parts, dtype=np.int64)
-            cols["_part2"] = pa.array(part2)
-            return pa.table(cols)
-
-    salted_merge = SaltedMerge(
-        parts, left_cols, final_fields,
-        left_types={c: left_schema.field(c).type for c in left_cols
-                    if left_schema.get_field_index(c) >= 0},
-        tb_slice=bool(conf.tie_break_column
-                      and conf.tie_break_column in right_schema.names),
-        map_parts=frozenset(
-            p.output_name for p in parts
-            if p.input_column in right_schema.names
-            and pa.types.is_map(right_schema.field(p.input_column).type)))
-
-    class _Merge:
-        """A merge partition's rows in the final schema: cold rows as
-        they are, each hot query's partials merged into one row."""
-        __name__ = "SaltedMergePartition"
-
-        def __call__(self, tbl: pa.Table) -> pa.Table:
-            partial = pc.equal(tbl["_partial"], 1)
-            out = [tbl.filter(pc.invert(partial))]
-            hot = tbl.filter(partial)
-            if len(hot):
-                out.append(salted_merge(hot.to_pandas()))
-            return pa.concat_tables(
-                [t.select(final_order).cast(final_schema) for t in out])
-
-    return with_schema(
-        unioned.groupby("_part").map_groups(_Dispatch(),
-                                            batch_format="pyarrow")
-        .groupby("_part2").map_groups(_Merge(), batch_format="pyarrow"),
-        final_schema)
 
 
 def ir_rec_to_py(p: AggregationPart, op: AggOp, row):

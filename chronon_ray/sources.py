@@ -12,12 +12,15 @@ column the end-of-day timestamp `(epoch(ds)+1d)*1000-1` is synthesized
 from __future__ import annotations
 
 import os
+import warnings
 from typing import Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
+from ray.data.datasource.parquet_meta_provider import (
+    ParquetMetadataProvider, _fetch_metadata)
 
 from .api import EntitySource, EventSource, Source, TQuery
 from .util import dataset_schema, map_typed, known_schema, with_schema
@@ -25,6 +28,9 @@ from .util import dataset_schema, map_typed, known_schema, with_schema
 #: reserved column names (reference api/Constants.scala:22-28)
 TS_COL = "ts"
 DS_COL = "ds"
+#: a table's archived partitions: ``<table>/_archived/<run>/ds=YYYY-MM-DD/``
+#: (``state.lineage.archive_mismatched``); no scan or listing reads them
+ARCHIVE_DIR = "_archived"
 
 MILLIS_DAY = 86_400_000
 
@@ -38,6 +44,26 @@ def _strip_schema_metadata(t: pa.Table) -> pa.Table:
     return t.replace_schema_metadata(None) if t.schema.metadata else t
 
 
+class _DriverFooters(ParquetMetadataProvider):
+    """Reads every parquet footer on the driver, as Ray itself does for up
+    to 24 files. Above that Ray fetches them in tasks of 0.5 CPU, two of
+    which run at once on one CPU: each such read then starts a second
+    worker process, whose life (and ~200 MB resident set) follows the
+    worker pool's timing, not the plan."""
+
+    def prefetch_file_metadata(self, fragments, **ray_remote_args):
+        return _fetch_metadata(fragments)
+
+
+def _read_parquet(*args, **kwargs) -> ray.data.Dataset:
+    """``ray.data.read_parquet`` with the footers read on the driver."""
+    with warnings.catch_warnings():
+        # ``meta_provider`` is deprecated upstream but still honoured
+        warnings.simplefilter("ignore", DeprecationWarning)
+        return ray.data.read_parquet(*args, meta_provider=_DriverFooters(),
+                                     **kwargs)
+
+
 def read_parquet(*args, **kwargs) -> ray.data.Dataset:
     """`ray.data.read_parquet` + schema-metadata strip (fuses with the
     read task; ~free). Use this everywhere instead of the raw reader so
@@ -46,7 +72,7 @@ def read_parquet(*args, **kwargs) -> ray.data.Dataset:
     The stripped schema, which the reader knows from the parquet footers
     without executing anything, is stashed on the returned Dataset
     (``util.dataset_schema``)."""
-    raw = ray.data.read_parquet(*args, **kwargs)
+    raw = _read_parquet(*args, **kwargs)
     out = raw.map_batches(_strip_schema_metadata, batch_format="pyarrow")
     sch = known_schema(raw)
     return with_schema(out, sch) if sch is not None else out
@@ -112,12 +138,15 @@ def partition_paths(
     A table is either a single parquet file or a directory of
     ``ds=YYYY-MM-DD/`` subdirs (the Hive-partitioned layout the reference
     assumes everywhere — spark/TableUtils.scala:291-295). Pruning == path
-    selection; no footer is touched for out-of-range days.
+    selection; no footer is touched for out-of-range days. Archived
+    partitions are never selected, so a table whose every partition is
+    archived selects nothing.
     """
     if os.path.isfile(table) or table.endswith(".parquet"):
         return [table]
-    subdirs = sorted(d for d in os.listdir(table) if d.startswith(f"{partition_col}="))
-    if not subdirs:
+    entries = os.listdir(table)
+    subdirs = sorted(d for d in entries if d.startswith(f"{partition_col}="))
+    if not subdirs and ARCHIVE_DIR not in entries:
         return [table]
     picked = []
     for d in subdirs:
@@ -133,14 +162,18 @@ def partition_paths(
 def _footer_schema(table: str, partition_col: str) -> Optional[pa.Schema]:
     """Arrow schema from ONE parquet footer of a table: the file itself,
     or the first file of the first ``partition_col=`` directory of a
-    hive-layout table, or the first parquet file under a flat directory."""
+    hive-layout table (of the newest archived one when every partition is
+    archived), or the first parquet file under a flat directory."""
+    import glob
+
     import pyarrow.parquet as pq
 
     if os.path.isfile(table):
         return pq.read_schema(table)
-    subs = sorted(d for d in os.listdir(table)
-                  if d.startswith(f"{partition_col}="))
-    for root in [os.path.join(table, d) for d in subs] or [table]:
+    roots = partition_paths(table, partition_col=partition_col) or sorted(
+        glob.glob(os.path.join(glob.escape(table), ARCHIVE_DIR, "*",
+                               f"{partition_col}=*")), reverse=True)
+    for root in roots:
         for f in sorted(os.listdir(root)):
             if f.endswith(".parquet") and not f.startswith(("_", ".")):
                 return pq.read_schema(os.path.join(root, f))
@@ -241,10 +274,10 @@ def scan_table(
 ) -> ray.data.Dataset:
     """read_parquet with partition pruning + column pruning, then render.
 
-    ds-partitioned dirs are read with a hive PathPartitionFilter (prunes at
-    the path level, no out-of-range footer is touched) and the partition
-    column is injected by Ray's hive partitioning. A requested column the
-    table lacks raises ``KeyError``.
+    A ds-partitioned dir is read as the partition dirs ``partition_paths``
+    selects (pruned at the path level: no out-of-range or archived footer
+    is touched), and the partition column is injected by Ray's hive
+    partitioning. A requested column the table lacks raises ``KeyError``.
 
     The output schema is stashed at plan time (``util.dataset_schema``):
     the read's footer schema, projected to ``columns``, rendered through
@@ -255,8 +288,7 @@ def scan_table(
                             part_col)
     read_cols = list(columns) if columns else None
     blocks = override_num_blocks or _estimate_blocks(paths)
-    is_partitioned_dir = not (os.path.isfile(table) or table.endswith(".parquet")) \
-        and any(d.startswith(f"{part_col}=") for d in os.listdir(table))
+    is_partitioned_dir = paths != [table]
     render = _Render(query, keep_columns, synthesize_eod_ts)
     if is_partitioned_dir and not paths:
         # the range matched NO partitions: read_parquet over zero files
@@ -277,26 +309,12 @@ def scan_table(
             rendered = render(_hive_order(sch, part_col).empty_table())
             return with_schema(ray.data.from_arrow(rendered),
                                rendered.schema)
-    if is_partitioned_dir:
-        from ray.data.datasource.partitioning import PathPartitionFilter
-
-        start, end = query.start_partition, query.end_partition
-
-        def keep(kv, _s=start, _e=end, _c=part_col):
-            v = kv.get(_c)
-            return (_s is None or v >= _s) and (_e is None or v <= _e)
-
-        flt = PathPartitionFilter.of(keep, style="hive")
-        # file_extensions: the partition-filtered listing does NOT apply
-        # pyarrow's "_"-prefix ignore rule, so lineage _MANIFEST.json
-        # files inside ds= dirs would be read as parquet and crash
-        raw = ray.data.read_parquet(table, columns=read_cols,
-                                    partition_filter=flt,
-                                    file_extensions=["parquet"],
-                                    override_num_blocks=blocks)
-    else:
-        raw = ray.data.read_parquet(paths, columns=read_cols,
-                                    override_num_blocks=blocks)
+    # the selected partition dirs are listed without pyarrow's "_"-prefix
+    # ignore rule: file_extensions keeps their lineage _MANIFEST.json
+    # files out of the read. Ray's hive partitioning injects the column.
+    raw = _read_parquet(
+        paths, columns=read_cols, override_num_blocks=blocks,
+        file_extensions=["parquet"] if is_partitioned_dir else None)
     out = raw.map_batches(render, batch_format="pyarrow")
     sch = known_schema(raw)
     if sch is None:

@@ -31,6 +31,7 @@ import ray.data
 from ray.data.block import BlockAccessor
 from ray.data.datasource.datasink import Datasink, WriteResult
 
+from ..sources import ARCHIVE_DIR
 from ..util import known_schema
 
 MANIFEST = "_MANIFEST.json"
@@ -70,19 +71,22 @@ def completed_partitions(out_dir: str, config_hash: Optional[str] = None,
 def archive_mismatched(out_dir: str, config_hash: str,
                        partition_col: str = "ds") -> list[str]:
     """Partitions written under a different config hash are moved aside
-    (semantic-hash invalidation — reference JoinBase.scala:502-518)."""
+    (semantic-hash invalidation — reference JoinBase.scala:502-518), to
+    ``<out_dir>/_archived/<run>/``: one run dir per call, outside the
+    partition namespace every scan and listing reads."""
     archived = []
     if not os.path.isdir(out_dir):
         return archived
+    run = os.path.join(out_dir, ARCHIVE_DIR,
+                       f"{int(time.time())}-{uuid.uuid4().hex[:12]}")
     for d in sorted(os.listdir(out_dir)):
         if not d.startswith(f"{partition_col}="):
             continue
         ds = d.split("=", 1)[1]
         m = read_manifest(out_dir, ds, partition_col)
         if m is not None and m.get("config_hash") != config_hash:
-            src = partition_dir(out_dir, ds, partition_col)
-            dst = f"{src}.archived.{int(time.time())}"
-            shutil.move(src, dst)
+            os.makedirs(run, exist_ok=True)
+            shutil.move(partition_dir(out_dir, ds, partition_col), run)
             archived.append(ds)
     return archived
 

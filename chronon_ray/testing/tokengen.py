@@ -5,7 +5,8 @@ n_tok:int32, source:string) + reserved ts (epoch millis) and ds columns.
 Generation style mirrors the reference's seeded CStream/DataFrameGen
 (reference: aggregator/test/DataGen.scala:145-177 — Column(name, type,
 cardinality) specs, ~1% nulls, timestamps uniform over a trailing window)
-with zipf-ish key skew plus deliberately hot keys to exercise salting.
+with zipf-ish key skew plus deliberately hot keys (per-partition kernel
+skew).
 
 Everything is a pure function of (seed, n_rows) — no wall clock, no
 external data. `NOW_MS` is pinned.

@@ -111,8 +111,6 @@ def sawtooth_one_key(
     q_ts: np.ndarray,  # sorted asc
     hops_cache: Optional[dict] = None,  # hop_millis -> (hop_starts, irs)
     daily: bool = False,
-    transform=None,  # per-query IR transform; default = finalize. Pass e.g.
-    #                  pickle.dumps to emit mergeable partials (salted path).
     exact: bool = False,  # per-event windows (no hop-rounded tail)
 ) -> list:
     """Finalized feature value per query (aligned to sorted q_ts order)."""
@@ -120,10 +118,6 @@ def sawtooth_one_key(
     out: list = [None] * nq
     if len(ev_ts) == 0 or nq == 0:
         return out
-    if transform is None:
-        def transform(ir):
-            return op.py_finalize(ir, part)
-
     if exact and not window.unbounded:
         # per-event two-stack: the reference's TwoStackLiteAggregator applied
         # at event granularity (TwoStackLiteAggregator.scala:26-160) — exact
@@ -143,7 +137,7 @@ def sawtooth_one_key(
             while len(buf) and buf.front_tag() < tail:
                 buf.pop()
             ir = buf.query()
-            out[qi] = transform(ir) if ir is not None else None
+            out[qi] = op.py_finalize(ir, part) if ir is not None else None
         return out
 
     if window.unbounded:
@@ -155,7 +149,7 @@ def sawtooth_one_key(
             while ep < ne and ev_ts[ep] < q:
                 ir = op.py_update(ir, ev_vals[ep], int(ev_ts[ep]), part)
                 ep += 1
-            out[qi] = transform(ir) if ir is not None else None
+            out[qi] = op.py_finalize(ir, part) if ir is not None else None
         return out
 
     hop = tail_hop_millis(window, daily)
@@ -198,5 +192,5 @@ def sawtooth_one_key(
             head_ep += 1
         win_ir = buf.query()
         ir = op.py_merge(win_ir, head_ir, part)
-        out[qi] = transform(ir) if ir is not None else None
+        out[qi] = op.py_finalize(ir, part) if ir is not None else None
     return out

@@ -97,6 +97,43 @@ def test_backfill_resume(backfill_env):
     assert len(s4["archived"]) == len(written)
 
 
+def test_archived_partitions_leave_the_ds_namespace(backfill_env):
+    """Two config changes archive each real day once, and scans and
+    listings see only the live partitions; a table whose every partition
+    is archived reads as zero rows."""
+    from chronon_ray.api import TQuery
+    from chronon_ray.pipelines.backfill import backfill_temporal_join
+    from chronon_ray.sources import list_partitions, partition_paths, scan_table
+    from chronon_ray.state.lineage import archive_mismatched
+
+    out_dir = os.path.join(backfill_env["base"], "out_archive")
+    start, end = list_partitions(backfill_env["left"])[2:4]
+    days = [start, end]
+    summaries = []
+    for i, w in enumerate((7, 1, 3)):  # hashes old, new, newer
+        conf = GroupByConf(name="arch", sources=(), key_columns=("doc_id",),
+                           aggregations=(agg("n_tok", "sum",
+                                             [window(w, "d")]),))
+        summaries.append(backfill_temporal_join(
+            backfill_env["left"], backfill_env["right"], conf, out_dir,
+            start, end, num_partitions=4))
+        assert sorted(summaries[-1]["partitions_written"]) == days
+        assert sorted(summaries[-1]["archived"]) == (days if i else [])
+        assert list_partitions(out_dir) == days
+        assert completed_partitions(out_dir) == days
+        live = sum(read_manifest(out_dir, d)["rows"] for d in days)
+        scanned = scan_table(out_dir, TQuery(start_partition="2000-01-01",
+                                             end_partition="2099-12-31"))
+        assert scanned.count() == live > 0
+    assert "n_tok_sum_3d" in scanned.columns()
+
+    assert sorted(archive_mismatched(out_dir, "gone")) == days
+    assert list_partitions(out_dir) == completed_partitions(out_dir) == []
+    assert partition_paths(out_dir) == []
+    for q in (TQuery(), TQuery(start_partition=start, end_partition=end)):
+        assert scan_table(out_dir, q).count() == 0
+
+
 def test_backfill_matches_direct(backfill_env):
     """Backfilled output == one-shot temporal_join on the same left rows."""
     import pyarrow.parquet as pq

@@ -5,6 +5,7 @@ the resumed final state must equal a one-shot compute over the same range
 (reference resume semantics: JoinBase.scala:59-68 unfilledRanges +
 semantic-hash archiving)."""
 
+import glob
 import os
 import shutil
 
@@ -24,7 +25,7 @@ from chronon_ray.api import (
     window,
 )
 from chronon_ray.pipelines.backfill import backfill_join, backfill_temporal_join
-from chronon_ray.sources import list_partitions, scan_table
+from chronon_ray.sources import ARCHIVE_DIR, list_partitions, scan_table
 from chronon_ray.state.partitions import PartitionRange
 from chronon_ray.testing.tokengen import (
     gen_events,
@@ -76,7 +77,7 @@ def _canon(df: pd.DataFrame) -> pd.DataFrame:
 def _read_output(out_dir: str) -> pd.DataFrame:
     frames = []
     for d in sorted(os.listdir(out_dir)):
-        if not d.startswith("ds=") or ".archived" in d:
+        if not d.startswith("ds="):
             continue
         pdir = os.path.join(out_dir, d)
         tbls = [pq.read_table(os.path.join(pdir, f))
@@ -155,7 +156,7 @@ def test_config_change_archives_and_recomputes(chaos_env, tmp_path):
     assert sorted(s2["archived"]) == written1
     assert sorted(s2["partitions_written"]) == written1
     # archived dirs still on disk; live manifests carry the new hash
-    archived = [d for d in os.listdir(out) if ".archived" in d]
+    archived = glob.glob(os.path.join(out, ARCHIVE_DIR, "*", "ds=*"))
     assert len(archived) == len(written1)
     from chronon_ray.state.lineage import read_manifest
 

@@ -7,10 +7,9 @@ to write data:
 1. a ``backfill_join`` step of 3 or 5 parts and an incremental run are
    one execution each: one exchange whose write tasks write every
    target; ``compute_join`` and ``temporal_join`` are one exchange, and a
-   bootstrapped join one more for its bootstrap merge; the salted
-   ``temporal_join`` executes nothing while it is planned, then runs its
-   two exchanges as one execution; sizing an exchange executes nothing
-   (counted with a Ray Data execution callback);
+   bootstrapped join one more for its bootstrap merge; planning merged
+   tile tables and sizing an exchange execute nothing (counted with a Ray
+   Data execution callback);
 2. the declared schema equals the executed one, for non-empty and zero-row
    inputs alike, and ``write_partitioned`` raises on a wrong one — for a
    step, before any target is written; only files a write task returned
@@ -230,20 +229,19 @@ def test_temporal_join_runs_one_exchange(tables):
         assert cb.n == 1 and cb.kinds == [(1, False)]
 
 
-def test_salted_temporal_join_plans_without_executing(tables):
-    """The hot-key salted plan executes nothing while it is built, and its
-    result is one execution of its two exchanges."""
-    from chronon_ray.pipelines.temporal import temporal_join
+def test_merge_tiles_plans_without_executing(tables):
+    """Merging two tile tables declares its schema from theirs, so
+    planning it executes neither tile plan."""
+    from chronon_ray.pipelines.streaming import make_tiles, merge_tiles
 
     with count_executions() as cb:
-        out = temporal_join(_scan(tables, "queries", False),
-                            _events(tables, False),
-                            _parts(tables["events"])[0], num_partitions=4,
-                            hot_keys=["doc_00000000"], salt_shards=2)
+        head, end = _events(tables, False), _batch_end(tables)
+        merged = merge_tiles(make_tiles(head, INC_CONF, end, num_partitions=4),
+                             make_tiles(head, INC_CONF, end + DAY,
+                                        num_partitions=4),
+                             INC_CONF, num_partitions=4)
         assert cb.n == 0
-        out = out.materialize()
-    assert out.count() > 0
-    assert cb.n == 1 and cb.kinds == [(2, False)]
+        assert merged.count() > 0
 
 
 def test_compute_join_bootstrapped_runs_two_exchanges(tables, tmp_path):
@@ -365,11 +363,9 @@ def _build(name, t, empty):
         return _scan(t, "queries", empty)
     if name == "distinct_rows":
         return distinct_rows(_scan(t, "queries", empty), ["doc_id", "ts"], 4)
-    if name in ("temporal_join", "temporal_join_salted"):
-        hot = ["doc_00000000"] if name.endswith("salted") else None
+    if name == "temporal_join":
         return temporal_join(_scan(t, "queries", empty), _events(t, empty),
-                             gb, num_partitions=4, hot_keys=hot,
-                             salt_shards=2 if hot else None)
+                             gb, num_partitions=4)
     if name == "key_partitioned_join":
         feats = temporal_join(
             distinct_rows(_scan(t, "queries", empty), ["doc_id", "ts"], 4),
@@ -417,6 +413,16 @@ def _build(name, t, empty):
                                  _scan(t, "queries", empty), INC_CONF,
                                  _batch_end(t), num_partitions=4,
                                  full_hops=True)
+    if name in ("make_tiles", "merge_tiles"):
+        from chronon_ray.pipelines.streaming import make_tiles, merge_tiles
+
+        head, end = _events(t, empty), _batch_end(t)
+        tiles = make_tiles(head, INC_CONF, end, num_partitions=4)
+        if name == "make_tiles":
+            return tiles
+        return merge_tiles(tiles, make_tiles(head, INC_CONF, end + DAY,
+                                             num_partitions=4),
+                           INC_CONF, num_partitions=4)
     if name == "serve_with_tiles":
         from chronon_ray.pipelines.streaming import make_tiles, serve_with_tiles
 
@@ -447,10 +453,10 @@ def _pairs(schema):
 
 @pytest.mark.parametrize("empty", [False, True], ids=["rows", "zero_rows"])
 @pytest.mark.parametrize("name", [
-    "scan_table", "distinct_rows", "temporal_join", "temporal_join_salted",
-    "key_partitioned_join", "compute_join", "bootstrap_join",
-    "groupby_upload", "roll_checkpoint", "serve_with_events",
-    "serve_with_tiles", "temporal_entities_join"])
+    "scan_table", "distinct_rows", "temporal_join", "key_partitioned_join",
+    "compute_join", "bootstrap_join", "groupby_upload", "roll_checkpoint",
+    "serve_with_events", "make_tiles", "merge_tiles", "serve_with_tiles",
+    "temporal_entities_join"])
 def test_declared_schema_equals_executed(tables, name, empty):
     ds = _build(name, tables, empty)
     declared = known_schema(ds)
@@ -613,8 +619,8 @@ def test_pipeline_udfs_capture_no_dataset(tables, tmp_path, monkeypatch):
     backfill_incremental(tables["queries"], tables["events"], INC_CONF,
                          str(tmp_path / "o"), str(tmp_path / "c"), start,
                          end, num_partitions=4)
-    for name in ("temporal_join_salted", "key_partitioned_join",
-                 "serve_with_events", "serve_with_tiles",
+    for name in ("temporal_join", "key_partitioned_join",
+                 "serve_with_events", "merge_tiles", "serve_with_tiles",
                  "temporal_entities_join"):
         _build(name, tables, False)
     assert found == []

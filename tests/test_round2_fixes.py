@@ -132,32 +132,6 @@ def test_label_join_first_last_mirrored(ray_session):
     assert r2["value_last_1d"] == 7.0
 
 
-def test_salted_qid_large_batch(ray_session):
-    """Salted path with >2^20-style overflow scenario shrunk down: many
-    queries in one batch must all come out exactly once."""
-    from chronon_ray.pipelines.temporal import temporal_join
-
-    n_q = 5000
-    rng = np.random.default_rng(7)
-    left = pa.table({
-        "user_id": np.full(n_q, 1, dtype=np.int64),
-        "ts": np.sort(rng.integers(10_000, 10_000_000, n_q)).astype(np.int64),
-        "qrow": np.arange(n_q, dtype=np.int64),
-    })
-    events = pa.table({
-        "user_id": np.full(20_000, 1, dtype=np.int64),
-        "ts": rng.integers(0, 10_000_000, 20_000).astype(np.int64),
-        "value": rng.random(20_000),
-    })
-    conf = GroupByConf(name="hot", sources=(), key_columns=("user_id",),
-                       aggregations=(agg("value", "sum"),))
-    out = temporal_join(rd.from_arrow(left), rd.from_arrow(events), conf,
-                        num_partitions=4, hot_keys=[1],
-                        salt_shards=4).to_pandas()
-    assert len(out) == n_q
-    assert sorted(out["qrow"]) == list(range(n_q))
-
-
 def test_sql_expr_selects_wheres_derivations(ray_session, sf_dir, duck):
     """SQL-string expressions evaluated per batch via DuckDB plug into
     selects, wheres and derivations (reference users write SQL strings)."""

@@ -428,14 +428,50 @@ def test_mutations_vectorized_replay_perf(ray_session):
     assert wall < 30, f"mutation replay too slow: {wall:.1f}s"
 
 
-# ------------------------------------------------------- salted tie-break
+# -------------------------------------------------------------- tie-break
 
-def test_salted_tie_break_parity(ray_session):
-    """Hot-key + tie_break with FIRST/LAST/LAST_K: the salted two-stage
-    path must match the plain co-partitioned path bit-for-bit, including
-    equal-ts collisions resolved by the tie-break column across shards
-    (VERDICT r3 item 4; reference TimedAggregators.scala:74-112)."""
+def _check_tie_break_vs_bruteforce(q, ev, conf):
+    """Every query row of ``temporal_join`` against a brute-force pick over
+    its window's events in (ts, tie-break) order, a missing tie-break
+    after every present one at equal ts."""
+    import math
+
+    from chronon_ray.api import Operation
     from chronon_ray.pipelines.temporal import temporal_join
+    from tests.test_temporal_randomized import _members, _norm
+
+    out = temporal_join(rd.from_pandas(q), rd.from_pandas(ev), conf,
+                        num_partitions=4).to_pandas()
+    assert len(out) == len(q)
+    tb = conf.tie_break_column
+    ev = ev.assign(_missing=ev[tb].isna()).sort_values(
+        ["ts", "_missing", tb], kind="stable")
+    by_key = dict(tuple(ev.groupby("user_id", sort=False)))
+    ties = 0
+    for _, row in out.iterrows():
+        ev_k = by_key.get(row["user_id"], ev.iloc[0:0])
+        for p in conf.parts():
+            sub = _members(ev_k, int(row["ts"]), p.window)
+            ties += int(sub["ts"].duplicated().sum())
+            vals = sub["value"].tolist()
+            got = _norm(row[p.output_name])
+            if not vals:
+                assert got is None, (p.output_name, row["ts"], got)
+            elif p.operation == Operation.SUM:
+                assert math.isclose(got, sum(vals), rel_tol=1e-9), \
+                    (p.output_name, row["ts"], got)
+            else:
+                exp = vals[0] if p.operation == Operation.FIRST else \
+                    vals[-1] if p.operation == Operation.LAST else \
+                    vals[::-1][:p.get_int("k")]
+                assert got == _norm(exp), (p.output_name, row["ts"], got)
+    assert ties > 0, "fixture has no equal-ts collision"
+
+
+def test_tie_break_slice_vs_bruteforce(ray_session):
+    """tie_break with FIRST/LAST/LAST_K: equal-ts collisions resolve by
+    the tie-break column (VERDICT r3 item 4; reference
+    TimedAggregators.scala:74-112)."""
 
     rng = np.random.default_rng(13)
     n = 6000
@@ -461,61 +497,13 @@ def test_salted_tie_break_parity(ray_session):
                       agg("value", "sum", [window(7, "d")])),
         tie_break_column="event_id",
     )
-    plain = temporal_join(rd.from_pandas(q), rd.from_pandas(ev), conf,
-                          num_partitions=4, hot_keys=None).to_pandas()
-    salted = temporal_join(rd.from_pandas(q), rd.from_pandas(ev), conf,
-                           num_partitions=4, hot_keys=[0],
-                           salt_shards=8).to_pandas()
-    _cmp_frames(salted, plain, ["user_id", "ts"])
-
-
-def test_salted_tie_break_bucketed_topk_parity(ray_session):
-    """The LAST salting carve-outs: bucketed slice parts (TieBreakSliceOp
-    carries (ts, tb) through pickled cross-shard merges) and TOP_K/BOTTOM_K
-    (payload == ordering value, so equal-value winners are observationally
-    identical) must keep salting ON under tie_break and match the plain
-    path bit-for-bit."""
-    from chronon_ray.pipelines.temporal import temporal_join
-
-    rng = np.random.default_rng(29)
-    n = 6000
-    key = np.where(rng.random(n) < 0.8, 0, rng.integers(1, 5, size=n))
-    ts = BASE + rng.integers(0, 300, size=n) * 3_600_000  # heavy ts ties
-    ev = pd.DataFrame({
-        "user_id": key.astype(np.int64),
-        "ts": ts.astype(np.int64),
-        "event_id": rng.permutation(n).astype(np.int64),  # tie breaker
-        "bucket": rng.choice(["a", "b", "c"], size=n),
-        # few distinct values => heavy VALUE ties for TOP_K too
-        "value": rng.integers(0, 7, size=n).astype(np.int64),
-    })
-    q = pd.DataFrame({
-        "user_id": np.where(rng.random(500) < 0.7, 0,
-                            rng.integers(1, 5, size=500)).astype(np.int64),
-        "ts": (BASE + rng.integers(1, 301, size=500) * 3_600_000).astype(np.int64),
-    })
-    conf = GroupByConf(
-        name="stbb", sources=(), key_columns=("user_id",),
-        aggregations=(agg("value", "last", [window(7, "d")], buckets=["bucket"]),
-                      agg("value", "first", [window(7, "d")], buckets=["bucket"]),
-                      agg("value", "last_k", [window(7, "d")], k=2,
-                          buckets=["bucket"]),
-                      agg("value", "top_k", [window(7, "d")], k=3),
-                      agg("value", "bottom_k", [window(7, "d")], k=3)),
-        tie_break_column="event_id",
-    )
-    plain = temporal_join(rd.from_pandas(q), rd.from_pandas(ev), conf,
-                          num_partitions=4, hot_keys=None).to_pandas()
-    salted = temporal_join(rd.from_pandas(q), rd.from_pandas(ev), conf,
-                           num_partitions=4, hot_keys=[0],
-                           salt_shards=8).to_pandas()
-    assert len(salted) == len(plain) > 0
-    _cmp_frames(salted, plain, ["user_id", "ts"])
+    _check_tie_break_vs_bruteforce(q, ev, conf)
 
 
 def test_tie_break_slice_op_shard_order_invariant():
-    """TieBreakSliceOp merges must be invariant to shard arrival order —
-    the exact property the salted exchange needs."""
+    """TieBreakSliceOp merges must be invariant to the order their IRs
+    arrive in — the property merging hop IRs of a bucketed slice part
+    under tie_break relies on."""
     from chronon_ray.aggregators.ops import OPS
     from chronon_ray.api import Operation
     from chronon_ray.pipelines.temporal import TieBreakSliceOp
@@ -551,120 +539,19 @@ def test_tie_break_slice_op_shard_order_invariant():
         assert outs[0] == outs[1] == outs[2], opname
 
 
-def test_salted_multi_key_parity(ray_session):
-    """Composite-key salting (round-4: the single-key restriction is gone):
-    a hot (user_id, region) pair takes the salted path and must match the
-    plain path bit-for-bit; hash-probe routing must not leak cold keys'
-    rows into wrong results."""
-    from chronon_ray.pipelines.temporal import temporal_join
-
-    rng = np.random.default_rng(41)
-    n = 5000
-    hot = rng.random(n) < 0.7
-    uid = np.where(hot, 3, rng.integers(0, 6, size=n))
-    reg = np.where(hot, 0, rng.integers(0, 3, size=n))
-    ev = pd.DataFrame({
-        "user_id": uid.astype(np.int64),
-        "region": reg.astype(np.int64),
-        "ts": (BASE + rng.integers(0, 10 * DAY, size=n)).astype(np.int64),
-        "value": np.round(rng.normal(5, 2, size=n), 3),
-    })
-    nq = 400
-    qh = rng.random(nq) < 0.6
-    q = pd.DataFrame({
-        "user_id": np.where(qh, 3, rng.integers(0, 6, size=nq)).astype(np.int64),
-        "region": np.where(qh, 0, rng.integers(0, 3, size=nq)).astype(np.int64),
-        "ts": (BASE + rng.integers(1, 10 * DAY, size=nq)).astype(np.int64),
-    })
-    conf = GroupByConf(
-        name="mk", sources=(), key_columns=("user_id", "region"),
-        aggregations=(agg("value", "sum", [window(7, "d"), UNBOUNDED]),
-                      agg("value", "last", [window(7, "d")]),
-                      agg("value", "unique_count", [window(7, "d")])),
-    )
-    plain = temporal_join(rd.from_pandas(q), rd.from_pandas(ev), conf,
-                          num_partitions=4, hot_keys=None).to_pandas()
-    salted = temporal_join(rd.from_pandas(q), rd.from_pandas(ev), conf,
-                           num_partitions=4, hot_keys=[(3, 0)],
-                           salt_shards=6).to_pandas()
-    assert len(salted) == len(plain) > 0
-    _cmp_frames(salted, plain, ["user_id", "region", "ts"])
-
-
-def test_detect_hot_keys_multi(ray_session):
-    """Composite-key heavy-hitter detection returns tuples."""
-    from chronon_ray.pipelines.salting import detect_hot_keys
-
-    rng = np.random.default_rng(5)
-    n = 40_000
-    hot = rng.random(n) < 0.5
-    pdf = pd.DataFrame({
-        "a": np.where(hot, 7, rng.integers(0, 50, size=n)).astype(np.int64),
-        "b": np.where(hot, 2, rng.integers(0, 5, size=n)).astype(np.int64),
-    })
-    got = detect_hot_keys(rd.from_pandas(pdf), ["a", "b"], 16,
-                          min_hot_rows=10_000)
-    assert (7, 2) in got
-
-
-def test_salted_map_input_parity(ray_session):
-    """Map-input parts on a hot salted key: pickled {map_key: IR} partials
-    must merge through MapPyOp across shards and match the plain path."""
-    import pyarrow as pa
-
-    from chronon_ray.pipelines.temporal import temporal_join
-
-    rng = np.random.default_rng(17)
-    n = 4000
-    key = np.where(rng.random(n) < 0.75, 0, rng.integers(1, 4, size=n))
-    ts = (BASE + rng.integers(0, 8 * DAY, size=n)).astype(np.int64)
-    mkeys = np.array(["clicks", "views", "buys"])
-    maps = [
-        [(mkeys[j], float(rng.integers(1, 9)))
-         for j in rng.choice(3, size=rng.integers(1, 4), replace=False)]
-        for _ in range(n)]
-    ev = pa.table({
-        "user_id": pa.array(key.astype(np.int64)),
-        "ts": pa.array(ts),
-        "metrics": pa.array(maps, type=pa.map_(pa.string(), pa.float64())),
-    })
-    q = pd.DataFrame({
-        "user_id": np.where(rng.random(300) < 0.6, 0,
-                            rng.integers(1, 4, size=300)).astype(np.int64),
-        "ts": (BASE + rng.integers(1, 8 * DAY, size=300)).astype(np.int64),
-    })
-    conf = GroupByConf(
-        name="msalt", sources=(), key_columns=("user_id",),
-        aggregations=(agg("metrics", "sum", [window(7, "d")]),
-                      agg("metrics", "max", [window(7, "d")]),
-                      agg("metrics", "unique_count", [window(7, "d")])),
-    )
-    ev_ds = rd.from_arrow(ev)
-    plain = temporal_join(rd.from_pandas(q), ev_ds, conf,
-                          num_partitions=4, hot_keys=None).to_pandas()
-    salted = temporal_join(rd.from_pandas(q), ev_ds, conf,
-                           num_partitions=4, hot_keys=[0],
-                           salt_shards=6).to_pandas()
-    assert len(salted) == len(plain) > 0
-    _cmp_frames(salted, plain, ["user_id", "ts"])
-
-
-def test_salted_tie_break_nan_parity(ray_session):
-    """Null/NaN tie-break values at equal timestamps must not crash the
-    cross-shard SaltedMerge and must resolve nulls-last, identically to the
-    plain path (code-review finding: raw (ts, tb) tuple comparisons raised
+def test_tie_break_nan_slice_vs_bruteforce(ray_session):
+    """NaN tie-break values at equal timestamps sort after every present
+    one (code-review finding: raw (ts, tb) tuple comparisons raised
     TypeError on None and misordered on NaN)."""
-    from chronon_ray.pipelines.temporal import temporal_join
-
     rng = np.random.default_rng(53)
     n = 4000
     key = np.where(rng.random(n) < 0.8, 0, rng.integers(1, 4, size=n))
     ts = BASE + rng.integers(0, 200, size=n) * 3_600_000  # heavy ts ties
     tb = rng.permutation(n).astype(np.float64)
     # AT MOST ONE missing tie-break per (key, ts) collision group: with two
-    # NaNs tied at the same max ts, the winner among them is arrival-order-
-    # dependent in the PLAIN path too (lexsort stability), so no exchange
-    # can reproduce it — the contract needs tbs present-or-singly-missing
+    # NaNs tied at the same max ts, the winner among them depends on
+    # arrival order (lexsort stability), so the contract needs tbs
+    # present-or-singly-missing
     df_tmp = pd.DataFrame({"k": key, "t": ts})
     first_in_group = ~df_tmp.duplicated(["k", "t"])
     nan_mask = (rng.random(n) < 0.4) & first_in_group.to_numpy()
@@ -687,13 +574,7 @@ def test_salted_tie_break_nan_parity(ray_session):
                       agg("value", "last_k", [window(7, "d")], k=3)),
         tie_break_column="event_id",
     )
-    plain = temporal_join(rd.from_pandas(q), rd.from_pandas(ev), conf,
-                          num_partitions=4, hot_keys=None).to_pandas()
-    salted = temporal_join(rd.from_pandas(q), rd.from_pandas(ev), conf,
-                           num_partitions=4, hot_keys=[0],
-                           salt_shards=8).to_pandas()
-    assert len(salted) == len(plain) > 0
-    _cmp_frames(salted, plain, ["user_id", "ts"])
+    _check_tie_break_vs_bruteforce(q, ev, conf)
 
 
 def test_mutations_moments_large_magnitude_stability(ray_session):

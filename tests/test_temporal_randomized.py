@@ -11,8 +11,8 @@ first principles. Window membership per the reference semantics
     unbounded:              event.ts < q
 
 This is independent of the hop-tiling / two-stack / exact-head cumulate
-machinery under test, and of the exchange + salting layout (queries at
-hop boundaries, exactly at event ts, and with null inputs included).
+machinery under test, and of the exchange layout (queries at hop
+boundaries, exactly at event ts, and with null inputs included).
 """
 
 import math
@@ -91,9 +91,24 @@ def _moments(x):
     }
 
 
-def _oracle(sub, op, col, k=3):
+def _oracle(sub, op, col, k=3, bucket=None):
     """Recompute one op over the member rows (nulls skipped, reference
-    ColumnAggregator null guard)."""
+    ColumnAggregator null guard). A bucketed part, and a part over the
+    ``metrics`` map column, give one inner aggregate per bucket label or
+    map key that has a non-null value."""
+    if bucket is not None:
+        out = {str(b): _oracle(g, op, col, k)
+               for b, g in sub[sub[bucket].notna()].groupby(bucket)}
+        out = {b: v for b, v in out.items() if v is not None}
+        return out or None
+    if col == "metrics":
+        entries = [(t, str(mk), mv) for t, m in zip(sub["ts"], sub[col])
+                   if m is not None for mk, mv in m.items()]
+        per_key = pd.DataFrame(entries, columns=["ts", "mk", "v"])
+        out = {mk: _oracle(g, op, "v", k)
+               for mk, g in per_key.groupby("mk")}
+        out = {mk: v for mk, v in out.items() if v is not None}
+        return out or None
     if col == "tokens":
         vals = [t for lst in sub["tokens"] for t in lst]
     else:
@@ -515,11 +530,9 @@ def test_distinct_float_nan_and_signed_zero_vs_duckdb(exact):
 
 
 @pytest.mark.parametrize("exact", [False, True])
-def test_unique_count_nan_plain_salted_bucketed_vs_duckdb(ray_session,
-                                                          exact):
+def test_unique_count_nan_plain_bucketed_vs_duckdb(ray_session, exact):
     """UNIQUE_COUNT over a float column counts NaN once on every path: the
-    plain distinct sweep, the salted (hot-key) path, whose shard sets are
-    pickled and merged, and a bucketed part on the sawtooth engine, as
+    plain distinct sweep and a bucketed part on the sawtooth engine, as
     DuckDB count(distinct) does."""
     import duckdb
 
@@ -539,25 +552,23 @@ def test_unique_count_nan_plain_salted_bucketed_vs_duckdb(ray_session,
         where ts < {qts} and ts >= {qts - 14 * DAY}""").fetchall()
     assert exp == 2
 
-    def run(buckets=None, **kw):
+    def run(buckets=None):
         conf = GroupByConf(name="nan", sources=(), key_columns=("user_id",),
                            aggregations=(agg("x", "unique_count",
                                              [window(14, "d")],
                                              buckets=buckets),))
         out = temporal_join(rd.from_arrow(q), rd.from_arrow(ev), conf,
-                            num_partitions=2, exact_windows=exact, **kw)
+                            num_partitions=2, exact_windows=exact)
         return out.to_pandas().iloc[0][conf.parts()[0].output_name]
 
     assert run() == exp
-    assert run(hot_keys=[1], salt_shards=2) == exp
     assert [tuple(kv) for kv in run(buckets=["b"])] == [("u", exp)]
 
 
 def test_distinct_routing_never_reaches_sawtooth(monkeypatch):
     """Finalized, un-bucketed UNIQUE_COUNT on scalar and list inputs runs
-    the sweep and never the per-element sawtooth engine; map, bucketed and
-    salted-partial (hot-key) UNIQUE_COUNT still do, so the fast path
-    cannot fall back unnoticed."""
+    the sweep and never the per-element sawtooth engine; map and bucketed
+    UNIQUE_COUNT still do, so the fast path cannot fall back unnoticed."""
     from chronon_ray.pipelines import temporal as T
 
     def boom(*a, **k):
@@ -585,10 +596,6 @@ def test_distinct_routing_never_reaches_sawtooth(monkeypatch):
         assert out.column("li_unique_count_2d").null_count < len(q)
     for aggs, kw in (
             ([agg("m", "unique_count", [window(2, "d")])], {}),
-            ([agg("i", "unique_count", [window(2, "d")], bucket="s")], {}),
-            ([agg("li", "unique_count", [window(2, "d")])],
-             {"emit_partials": True}),
-            ([agg("i", "unique_count", [window(2, "d")])],
-             {"emit_partials": True})):
+            ([agg("i", "unique_count", [window(2, "d")], bucket="s")], {})):
         with pytest.raises(RuntimeError, match="sawtooth reached"):
             run(aggs, **kw)
