@@ -2,9 +2,14 @@
 
 Every plan that meets several inputs by key — ``join_step``,
 ``incremental.roll_serve_run``, ``upload.serve_with_events``,
-``streaming.serve_with_tiles`` and ``mutations.temporal_entities_join`` —
-co-locates them with ONE exchange and runs one kernel per partition, the
-way LMFAO computes a batch of aggregates over co-located inputs:
+``streaming.serve_with_tiles``, ``mutations.temporal_entities_join``,
+``assembly.key_partitioned_join`` (and through it
+``joins.entity_snapshot_join`` and the MinHash verification of
+``functions/dedup.py``), ``joins.bootstrap_join``, ``extras.range_join``
+and ``groupby.aggregate_snapshot`` (its granularities' partials, routed
+on their key hash) — co-locates them with ONE exchange and runs one
+kernel per partition, the way LMFAO computes a batch of aggregates over
+co-located inputs:
 
 1. ``tag``: each side keeps its columns under its own names, casts the
    shared columns it has (``key_types``: the keys, and ``ts`` where the

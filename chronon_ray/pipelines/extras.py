@@ -17,7 +17,8 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from .groupby import block_part_hash, stable_key_hash
+from .copartition import Side, copartition, side
+from .groupby import block_part_hash
 
 DEFAULT_NUM_PARTITIONS = 200
 
@@ -351,32 +352,31 @@ def group_quantiles(
 
 
 class _RangeJoinPartition:
-    """One co-partitioned hash partition of left rows (kind 0: key, ts,
-    left cols) and intervals (kind 1: key, start, end, interval cols).
+    """One co-partitioned hash partition of left rows (side 0: key, ts,
+    left cols) and intervals (side 1: key, start, end, interval cols).
     Vectorized sweep: left sorted by (key, ts); every interval's match
     range comes from two composite searchsorteds; pairs are emitted with a
     ranges-gather (no per-interval python slicing)."""
 
-    def __init__(self, keys, ts_col, start_col, end_col,
-                 left_cols, right_cols):
+    def __init__(self, keys, ts_col, start_col, end_col, left: pa.Schema,
+                 right: pa.Schema, left_cols, right_cols,
+                 out_schema: pa.Schema):
         self.__name__ = type(self).__name__
         self.keys, self.ts_col = list(keys), ts_col
         self.start_col, self.end_col = start_col, end_col
+        self.left, self.right = left, right  # each side's own schema
         self.left_cols, self.right_cols = list(left_cols), list(right_cols)
+        self.out_schema = out_schema
 
-    def __call__(self, pdf: pd.DataFrame) -> pd.DataFrame:
-        left = pdf[pdf["_kind"] == 0]
-        right = pdf[pdf["_kind"] == 1]
-        empty = pd.DataFrame({
-            **{c: pd.Series(dtype=left[c].dtype if c in left else object)
-               for c in self.left_cols},
-            **{c: pd.Series(dtype=object) for c in self.right_cols},
-        })
+    def __call__(self, tbl: pa.Table) -> pa.Table:
+        left = side(tbl, 0, self.left)
+        right = side(tbl, 1, self.right)
         if not len(left) or not len(right):
-            return empty
-        # shared key codes across both sides
-        both = pd.concat([left[self.keys], right[self.keys]],
-                         ignore_index=True)
+            return self.out_schema.empty_table()
+        # shared key codes across both sides; the left's null keys get a
+        # code no interval has (side 1 dropped its null-key rows)
+        both = pa.concat_tables([left.select(self.keys),
+                                 right.select(self.keys)]).to_pandas()
         if len(self.keys) == 1:
             codes, _ = pd.factorize(both[self.keys[0]],
                                     use_na_sentinel=False)
@@ -385,12 +385,11 @@ class _RangeJoinPartition:
                 .factorize(use_na_sentinel=False)
         lcode = codes[:len(left)].astype(np.int64)
         rcode = codes[len(left):].astype(np.int64)
-        lts = left[self.ts_col].to_numpy(dtype=np.int64)
+        lts = left[self.ts_col].to_numpy().astype(np.int64)
         perm = np.lexsort((lts, lcode))
         lcode, lts = lcode[perm], lts[perm]
-        lsorted = left.iloc[perm]
-        rs = right[self.start_col].to_numpy(dtype=np.int64)
-        re_ = right[self.end_col].to_numpy(dtype=np.int64)
+        rs = right[self.start_col].to_numpy().astype(np.int64)
+        re_ = right[self.end_col].to_numpy().astype(np.int64)
         # monotone composite (code, ts) -> single searchsorted
         t0 = min(int(lts.min()), int(rs.min()), int(re_.min()))
         t1 = max(int(lts.max()), int(rs.max()), int(re_.max()))
@@ -405,15 +404,13 @@ class _RangeJoinPartition:
         # malformed end < start intervals match nothing (SQL semantics)
         cnt = np.maximum(hi - lo, 0)
         total = int(cnt.sum())
-        if total == 0:
-            return empty
         ividx = np.repeat(np.arange(len(right)), cnt)
         base = np.repeat(np.concatenate([[0], np.cumsum(cnt)[:-1]]), cnt)
-        evidx = np.arange(total) - base + np.repeat(lo, cnt)
-        out = {c: lsorted[c].to_numpy()[evidx] for c in self.left_cols}
-        for c in self.right_cols:
-            out[c] = right[c].to_numpy()[ividx]
-        return pd.DataFrame(out)
+        evidx = perm[np.arange(total) - base + np.repeat(lo, cnt)]
+        return pa.Table.from_arrays(
+            [*left.select(self.left_cols).take(evidx).columns,
+             *right.select(self.right_cols).take(ividx).columns],
+            schema=self.out_schema)
 
 
 def range_join(
@@ -429,65 +426,34 @@ def range_join(
 ) -> ray.data.Dataset:
     """Interval/range join: every (left row, interval) pair with the same
     key and start <= ts < end — one row PER MATCH (overlapping intervals
-    multiply). ONE hash exchange co-partitions both sides by key; the
-    per-partition sweep is two vectorized searchsorteds + a ranges-gather.
-    Skewed keys: all of a key's rows land in one task — salt hot keys
-    upstream if a single key's intervals × rows exceeds task memory."""
-    left_cols = list(left_cols or left.schema().names)
-    right_cols = list(right_cols or
-                      [c for c in intervals.schema().names
-                       if c not in (*keys, start_col, end_col)]
-                      ) + [start_col, end_col]
-    right_cols = list(dict.fromkeys(right_cols))
+    multiply), each column in its side's type. ONE co-partition of both
+    sides by key (``pipelines/copartition.py``; a null key never matches);
+    the per-partition sweep is two vectorized searchsorteds + a
+    ranges-gather. Skewed keys: all of a key's rows land in one task —
+    salt hot keys upstream if a single key's intervals × rows exceeds task
+    memory."""
+    from ..util import dataset_schema
 
-    from ..util import arrow_type_of
-
-    lsch, rsch = left.schema(), intervals.schema()
-    ltypes = {n: arrow_type_of(t) for n, t in zip(lsch.names, lsch.types)}
-    rtypes = {n: arrow_type_of(t) for n, t in zip(rsch.names, rsch.types)}
-
-    from ..util import drop_null_key_rows
-
-    def _drop_null_keys(t: pa.Table) -> pa.Table:
-        # SQL inner-join equality: NULL never matches — prune null-keyed
-        # rows BEFORE the exchange (they'd cross the shuffle for nothing)
-        return drop_null_key_rows(t, keys)
-
-    def tag_left(t: pa.Table) -> pa.Table:
-        t = _drop_null_keys(t)
-        n = len(t)
-        t = t.select([c for c in t.column_names
-                      if c in set([*keys, ts_col, *left_cols])])
-        for c in right_cols:
-            if c not in t.column_names:
-                t = t.append_column(c, pa.nulls(n, rtypes.get(c, pa.int64())))
-        return t.append_column("_kind", pa.array(np.zeros(n, np.int8)))
-
-    tag_left.__name__ = "tag_range_left"
-
-    def tag_right(t: pa.Table) -> pa.Table:
-        t = _drop_null_keys(t)
-        n = len(t)
-        for c in [*left_cols, ts_col]:
-            if c not in t.column_names:
-                t = t.append_column(c, pa.nulls(n, ltypes.get(c, pa.int64())))
-        return t.append_column("_kind", pa.array(np.ones(n, np.int8)))
-
-    tag_right.__name__ = "tag_range_right"
-    lt = left.map_batches(tag_left, batch_format="pyarrow")
-    rt = intervals.map_batches(tag_right, batch_format="pyarrow")
-    # align column order for union
-    cols = sorted(set([*keys, ts_col, *left_cols, *right_cols, "_kind"]))
-
-    def order_cols(t: pa.Table) -> pa.Table:
-        return t.select(cols)
-
-    order_cols.__name__ = "order_cols"
-    u = lt.map_batches(order_cols, batch_format="pyarrow") \
-        .union(rt.map_batches(order_cols, batch_format="pyarrow"))
-    u = u.map_batches(_AddPart(keys, num_partitions),
-                      batch_format="pyarrow")
-    return u.groupby("_part").map_groups(
-        _RangeJoinPartition(keys, ts_col, start_col, end_col,
-                            left_cols, right_cols),
-        batch_format="pandas")
+    lsch, rsch = dataset_schema(left), dataset_schema(intervals)
+    left_cols = list(left_cols or lsch.names)
+    right_cols = list(dict.fromkeys([
+        *(right_cols or [c for c in rsch.names
+                         if c not in (*keys, start_col, end_col)]),
+        start_col, end_col]))
+    shared = [c for c in right_cols if c in left_cols]
+    if shared:
+        raise ValueError(f"range_join: left_cols and right_cols share "
+                         f"{shared}; rename one side's columns")
+    key_types = {k: lsch.field(k).type for k in keys}
+    sides = [Side(left, pa.schema([lsch.field(c) for c in dict.fromkeys(
+                 [*keys, ts_col, *left_cols])])),
+             Side(intervals, pa.schema([rsch.field(c) for c in dict.fromkeys(
+                 [*keys, *right_cols])]))]
+    own = [s.own(key_types) for s in sides]
+    out_schema = pa.schema([own[0].field(c) for c in left_cols]
+                           + [own[1].field(c) for c in right_cols])
+    return copartition(sides, key_types, keys, num_partitions,
+                       _RangeJoinPartition(keys, ts_col, start_col, end_col,
+                                           *own, left_cols, right_cols,
+                                           out_schema),
+                       out_schema)

@@ -3,16 +3,19 @@
 The physical pattern mirrors the reference's `aggregateByKey(init)(seqOp,
 combOp)` (reference: spark/GroupBy.scala:128-133, 364-378) as the classic Ray
 Data combiner: a stateless `map_batches` stage computes one IR row per key per
-batch (vectorized pandas/numpy via RowAggregator), keyed by
-``_part = hash(keys) % P``; a `groupby("_part").map_groups` stage merges all
-partials of a hash partition **vectorized across keys** (no per-key python
-call) and finalizes. Only the small partial-IR rows cross the shuffle — the
-raw input never does.
+batch (vectorized pandas/numpy via RowAggregator), carrying the canonical
+64-bit hash of its keys as the route column ``_route``; ONE co-partition
+(``pipelines/copartition.py``) on ``_route`` co-locates every partial of a
+key, and one kernel per partition merges them **vectorized across keys** (no
+per-key python call) and finalizes. Only the small partial-IR rows cross the
+shuffle — the raw input never does.
 
 Bucketed aggregations (map output per bucket value — reference
-aggregator/row/BucketedColumnAggregator.scala:1-94) run the same pipeline at
-(keys + bucket) granularity, partitioned by hash(keys) only, so the pivot to a
-map column happens inside the same merge task with no extra shuffle.
+aggregator/row/BucketedColumnAggregator.scala:1-94) compute their partials at
+(keys + bucket) granularity, routed by hash(keys) only: each granularity is
+one side of the same co-partition, and the kernel pivots each bucket to a map
+column and outer-merges the granularities on the keys. A bucketed GroupBy is
+one exchange, like a plain one.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from ..api import AggregationPart, GroupByConf
 from ..aggregators.row import RowAggregator
 
 DEFAULT_NUM_PARTITIONS = 200
+_ROUTE = "_route"  # a snapshot partial's canonical key hash
 
 
 def stable_key_hash(df: pd.DataFrame, keys: Sequence[str]) -> np.ndarray:
@@ -121,31 +125,36 @@ def _factorize_keys(pdf: pd.DataFrame, keys: Sequence[str]):
 
 
 class PartialAgg:
-    """Stage-1 callable: Arrow batch in → Arrow IR-partials out."""
+    """Stage-1 callable: Arrow batch in → Arrow IR-partials out, routed by
+    the canonical hash of ``part_keys`` (``_route``, never null)."""
 
     def __init__(self, conf_keys: Sequence[str], parts: list[AggregationPart],
-                 input_schema: pa.Schema, num_partitions: int,
-                 tie_break: Optional[str] = None, part_keys: Optional[Sequence[str]] = None):
+                 input_schema: pa.Schema, tie_break: Optional[str] = None,
+                 part_keys: Optional[Sequence[str]] = None):
         self.keys = list(conf_keys)  # granularity of aggregation (may incl. bucket)
-        self.part_keys = list(part_keys or conf_keys)  # granularity of partitioning
-        self.num_partitions = num_partitions
+        self.part_keys = list(part_keys or conf_keys)  # granularity of routing
         self.agg = RowAggregator(parts, input_schema, tie_break_column=tie_break)
+        self.schema = pa.schema(
+            [input_schema.field(k) for k in self.keys]
+            + [pa.field(_ROUTE, pa.uint64())] + self.agg.ir_fields())
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         key_cols = batch.select(self.keys).to_pandas()
         # drop rows where ALL conf keys are null (reference
         # GroupBy.scala:510-512) — judged over part_keys, i.e. the conf key
         # columns: in the bucketed pipeline self.keys additionally carries
-        # the bucket column, which must NOT rescue a null-keyed row
-        valid = ~key_cols[self.part_keys].isna().all(axis=1)
+        # the bucket column, which must NOT rescue a null-keyed row. A null
+        # bucket value can't become a map key (and would form a NaN group at
+        # keys+bucket granularity): drop it, matching the temporal path's
+        # valid &= is_valid(bucket)
+        buckets = [k for k in self.keys if k not in self.part_keys]
+        valid = ~key_cols[self.part_keys].isna().all(axis=1) \
+            & key_cols[buckets].notna().all(axis=1)
         if not valid.all():
             batch = batch.filter(pa.array(valid.to_numpy()))
             key_cols = key_cols[valid.to_numpy()].reset_index(drop=True)
         if len(batch) == 0:
-            fields = ([pa.field(k, batch.schema.field(k).type) for k in self.keys]
-                      + [pa.field("_part", pa.int64())] + self.agg.ir_fields())
-            return pa.Table.from_arrays(
-                [pa.array([], type=f.type) for f in fields], schema=pa.schema(fields))
+            return self.schema.empty_table()
         codes, kdf = _factorize_keys(key_cols, self.keys)
         irf = self.agg.partial_frame(batch, codes, len(kdf))
         # irf 'g' indexes into kdf rows
@@ -161,12 +170,13 @@ class PartialAgg:
         # hash the CANONICAL Arrow representation, never the pandas frame:
         # to_pandas float-promotes an int key column whenever the batch has
         # any null, and hash(5.0) != hash(5) would split one key's partials
-        # across partitions → duplicate output rows per key
+        # across partitions → duplicate output rows per key. Not reduced
+        # mod P: the co-partition re-hashes the route over every partition
         key_tbl = pa.table({k: key_arrays[k] for k in self.part_keys})
         types = {k: batch.schema.field(k).type for k in self.part_keys}
-        part_hash = canon_key_hash(key_tbl, self.part_keys, types,
-                                   self.num_partitions)
-        key_arrays["_part"] = pa.array(part_hash.astype(np.int64))
+        key_arrays[_ROUTE] = pa.array(stable_key_hash(
+            canon_key_table(key_tbl, self.part_keys, types).to_pandas(),
+            self.part_keys))
         return self.agg.ir_frame_to_arrow(irf, key_arrays)
 
 
@@ -183,12 +193,19 @@ class MergeFinalize:
         self.pivot_bucket = pivot_bucket  # bucket column to pivot into map outputs
         self.out_keys = list(out_keys or self.keys)
         self.input_schema = input_schema
+        out = self.agg.output_fields()
+        if pivot_bucket is not None:
+            # bucketed output name carries the _by_ suffix
+            out = [pa.field(f"{f.name}_by_{pivot_bucket}",
+                            pa.map_(pa.string(), f.type)) for f in out]
+        self.schema = pa.schema(
+            [input_schema.field(k) for k in self.out_keys] + out)
 
     def __call__(self, pdf: pd.DataFrame) -> pa.Table:
         pdf = pdf.reset_index(drop=True)
         codes, kdf = _factorize_keys(pdf, self.keys)
         irf = self.agg.ir_frame_from_pandas(pdf)
-        irf = irf.drop(columns=[c for c in (*self.keys, "_part") if c in irf.columns])
+        irf = irf.drop(columns=[c for c in (*self.keys, _ROUTE) if c in irf.columns])
         irf["g"] = codes
         # reindex to EVERY key present in the input: a key whose inputs are
         # all null still gets an output row with null features (SQL GROUP BY
@@ -232,16 +249,50 @@ class MergeFinalize:
             out_cols[k] = pa.array(out_rows[k],
                                    type=self.input_schema.field(k).type,
                                    from_pandas=True)
-        for f in self.agg.output_fields():
-            # bucketed output name carries the _by_ suffix
-            out_cols[f.name] = pa.array(maps[f.name], type=pa.map_(pa.string(), f.type))
+        for f, o in zip(self.agg.output_fields(),
+                        list(self.schema)[len(self.out_keys):]):
+            out_cols[o.name] = pa.array(maps[f.name], type=o.type)
         return pa.table(out_cols)
 
 
-def _strip_bucket(parts: list[AggregationPart]) -> list[AggregationPart]:
-    """Compute bucketed parts as plain parts at keys+bucket granularity; keep
-    the _by_ output name."""
-    return [replace(p, bucket=None) for p in parts]
+class _SnapshotMerge:
+    """Per-partition kernel of ``aggregate_snapshot``: each granularity's
+    ``MergeFinalize`` over its side, outer-merged on the keys — null keys
+    match null keys there, as GroupBy groups do."""
+
+    def __init__(self, keys: Sequence[str], sides: list[pa.Schema],
+                 merges: list[MergeFinalize]):
+        self.__name__ = type(self).__name__  # ray map_groups wraps fn.__name__
+        self.keys = list(keys)
+        self.sides = sides  # each side's own schema (copartition.side)
+        self.merges = merges
+
+    def __call__(self, tbl: pa.Table) -> pa.Table:
+        from .copartition import side
+
+        out = None
+        for i, (schema, fin) in enumerate(zip(self.sides, self.merges)):
+            rows = side(tbl, i, schema)
+            t = fin(rows.to_pandas()) if len(rows) \
+                else fin.schema.empty_table()
+            out = t if out is None else _outer_merge(out, t, self.keys)
+        return out
+
+
+def _outer_merge(a: pa.Table, b: pa.Table, keys: Sequence[str]) -> pa.Table:
+    """``a`` ⟗ ``b`` on their leading ``keys``, every column in its own
+    type: pandas pairs the rows (null matches null), Arrow takes them."""
+    import pyarrow.compute as pc
+
+    pairs = a.select(keys).to_pandas().assign(_a=np.arange(len(a))).merge(
+        b.select(keys).to_pandas().assign(_b=np.arange(len(b))),
+        on=list(keys), how="outer")
+    ta, tb = (t.take(pa.array(pairs[c].to_numpy(), from_pandas=True)
+                     .cast(pa.int64())) for t, c in ((a, "_a"), (b, "_b")))
+    n = len(keys)
+    return pa.table({**{k: pc.coalesce(ta[k], tb[k]) for k in keys},
+                     **{c: ta[c] for c in a.column_names[n:]},
+                     **{c: tb[c] for c in b.column_names[n:]}})
 
 
 def aggregate_snapshot(
@@ -250,70 +301,34 @@ def aggregate_snapshot(
     num_partitions: int = DEFAULT_NUM_PARTITIONS,
     input_schema: Optional[pa.Schema] = None,
 ) -> ray.data.Dataset:
-    """GroupBy with no windows/time dimension: one output row per key.
-
-    Returns one Dataset per bucket-granularity merged into one (outer join on
-    keys) when bucketed parts exist; plain single pipeline otherwise.
-    """
+    """GroupBy with no windows/time dimension: one output row per key, as
+    one exchange (module docstring): the plain parts and each bucket
+    column's parts are the sides of one co-partition."""
     from ..util import dataset_schema
+    from .copartition import Side, copartition
 
     schema = input_schema or dataset_schema(ds)
     keys = list(conf.key_columns)
     tie_break = getattr(conf, "tie_break_column", None)
     parts = conf.parts()
-    plain = [p for p in parts if p.bucket is None]
-    bucket_cols = sorted({p.bucket for p in parts if p.bucket is not None})
-
-    outputs = []
-    if plain:
-        stage1 = ds.map_batches(
-            PartialAgg(keys, plain, schema, num_partitions,
-                       tie_break=tie_break),
-            batch_format="pyarrow",
-        )
+    sides, merges = [], []
+    for bcol in [None, *sorted({p.bucket for p in parts if p.bucket})]:
+        # bucketed parts compute as plain parts at keys+bucket granularity
+        gparts = [replace(p, bucket=None) for p in parts if p.bucket == bcol]
+        if not gparts:
+            continue
+        gran = [*keys, bcol] if bcol else keys
+        partial = PartialAgg(gran, gparts, schema, tie_break=tie_break,
+                             part_keys=keys)
+        sides.append(Side(ds.map_batches(partial, batch_format="pyarrow"),
+                          partial.schema))
         # tie_break crosses the IR shuffle: FIRST/LAST IRs carry a tb slot
         # (RowAggregator._ircs) so equal-ts rows split across blocks merge
         # by (ts, tb), matching the temporal path
-        out = stage1.groupby("_part").map_groups(
-            MergeFinalize(keys, plain, schema, tie_break=tie_break),
-            batch_format="pandas"
-        )
-        outputs.append(out)
-    for bcol in bucket_cols:
-        bparts = [p for p in parts if p.bucket == bcol]
-        cparts = _strip_bucket(bparts)
-        # rename outputs to carry the bucket suffix: RowAggregator is built on
-        # bucket-stripped parts; the pivot writes map columns under the
-        # stripped names, renamed after.
-        gran_keys = keys + [bcol]
-
-        def _drop_null_bucket(t: pa.Table, _b=bcol) -> pa.Table:
-            # null bucket values can't become map keys (and would form a
-            # NaN group at keys+bucket granularity) — drop them, matching
-            # the temporal path's valid &= is_valid(bucket)
-            import pyarrow.compute as _pc
-            return t.filter(_pc.is_valid(t[_b]))
-
-        _drop_null_bucket.__name__ = f"drop_null_{bcol}"
-        stage1 = ds.map_batches(_drop_null_bucket, batch_format="pyarrow") \
-            .map_batches(
-            PartialAgg(gran_keys, cparts, schema, num_partitions,
-                       part_keys=keys, tie_break=tie_break),
-            batch_format="pyarrow",
-        )
-        out = stage1.groupby("_part").map_groups(
-            MergeFinalize(gran_keys, cparts, schema, tie_break=tie_break,
-                          pivot_bucket=bcol, out_keys=keys),
-            batch_format="pandas",
-        )
-        rename = {p_c.output_name: p_b.output_name for p_c, p_b in zip(cparts, bparts)}
-        out = out.map_batches(
-            lambda t, r=rename: t.rename_columns([r.get(c, c) for c in t.column_names]),
-            batch_format="pyarrow",
-        )
-        outputs.append(out)
-    if len(outputs) == 1:
-        return outputs[0]
-    from .assembly import key_partitioned_join
-
-    return key_partitioned_join(outputs[0], outputs[1:], keys, num_partitions=num_partitions)
+        merges.append(MergeFinalize(gran, gparts, schema, tie_break=tie_break,
+                                    pivot_bucket=bcol, out_keys=keys))
+    out_schema = pa.schema([schema.field(k) for k in keys] + [
+        f for m in merges for f in m.schema if f.name not in keys])
+    kernel = _SnapshotMerge(keys, [s.schema for s in sides], merges)
+    return copartition(sides, {_ROUTE: pa.uint64()}, [_ROUTE],
+                       num_partitions, kernel, out_schema)

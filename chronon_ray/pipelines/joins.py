@@ -32,7 +32,8 @@ from ..api import Accuracy, GroupByConf, JoinConf
 from ..sources import (read_parquet as _read_parquet, scan_groupby_events,
                        scan_source)
 from ..util import dataset_schema, map_typed, with_schema
-from .assembly import key_partitioned_join
+from .assembly import key_partitioned_join, pandas_to_arrow
+from .copartition import Side, copartition, side
 from .groupby import block_part_hash
 from .join_step import COMPUTED, FIRST, StepPart, feature_fields, join_step
 from .temporal import temporal_join
@@ -216,34 +217,25 @@ def entity_snapshot_join(
 
     Null-key contract: snapshot rows with a null key (or null ds) never
     match — SQL equality — while null-keyed LEFT rows survive with null
-    features. The assembly primitive underneath matches null-to-null
-    (fan-out semantics), so the snapshot side is pruned here."""
-    from functools import partial
-
-    from ..util import drop_null_key_rows
-
+    features (``key_partitioned_join`` drops the snapshot side's null-key
+    rows in its co-partition)."""
     lag_ms = snapshot_lag_days * MILLIS_DAY
-    snapshots = snapshots.map_batches(
-        partial(drop_null_key_rows, keys=[*keys, "ds"]),
-        batch_format="pyarrow")
 
     def add_join_ds(t: pa.Table) -> pa.Table:
         ts = t["ts"].to_numpy(zero_copy_only=False).astype(np.int64)
         days = ((ts - lag_ms) // MILLIS_DAY).astype("datetime64[D]")
-        return t.append_column("_join_ds",
-                               pa.array(np.datetime_as_string(days, unit="D")))
-
-    left2 = left.map_batches(add_join_ds, batch_format="pyarrow")
+        return t.append_column("_join_ds", pa.array(
+            np.datetime_as_string(days, unit="D"), pa.string()))
 
     def rename_ds(t: pa.Table) -> pa.Table:
         return t.rename_columns(["_join_ds" if c == "ds" else c
                                  for c in t.column_names])
 
-    right2 = snapshots.map_batches(rename_ds, batch_format="pyarrow")
-    out = key_partitioned_join(left2, [right2], keys=[*keys, "_join_ds"],
-                               how="left", num_partitions=num_partitions)
-    return out.map_batches(lambda t: t.drop_columns(["_join_ds"]),
-                           batch_format="pyarrow")
+    out = key_partitioned_join(map_typed(left, add_join_ds),
+                               [map_typed(snapshots, rename_ds)],
+                               keys=[*keys, "_join_ds"], how="left",
+                               num_partitions=num_partitions)
+    return map_typed(out, lambda t: t.drop_columns(["_join_ds"]))
 
 
 def label_join(
@@ -364,24 +356,19 @@ class _CoalescedMerge:
 
     __name__ = "CoalescedMerge"
 
-    def __init__(self, keys: Sequence[str], left_cols: list[str],
-                 right_cols: list[str], types: dict, part_hash: str):
+    def __init__(self, keys: Sequence[str], left: pa.Schema,
+                 right: pa.Schema, out_schema: pa.Schema, part_hash: str):
         self.keys = list(keys)
-        self.left_cols = left_cols
-        self.right_cols = right_cols
-        self.types = types
+        self.left, self.right = left, right  # each side's own schema
+        self.out_schema = out_schema
         self.part_hash = part_hash
 
-    def __call__(self, pdf: pd.DataFrame) -> pa.Table:
-        import pandas as _pd
-
-        from .assembly import pandas_to_arrow
-
-        left = pdf[pdf["_src"] == 0][self.left_cols].reset_index(drop=True)
-        right = pdf[pdf["_src"] == 1][self.right_cols].reset_index(drop=True)
+    def __call__(self, tbl: pa.Table) -> pa.Table:
+        left = side(tbl, 0, self.left).to_pandas()
+        right = side(tbl, 1, self.right).to_pandas()
         right = right.drop_duplicates(self.keys)
-        shared = [c for c in self.right_cols
-                  if c in self.left_cols and c not in self.keys]
+        shared = [c for c in self.right.names
+                  if c in self.left.names and c not in self.keys]
         merged = left.merge(right, on=self.keys, how="left",
                             suffixes=("", "__bs"), indicator="_matched")
         hit = (merged["_matched"] == "both").to_numpy()
@@ -391,15 +378,15 @@ class _CoalescedMerge:
             merged = merged.drop(columns=[f"{c}__bs"])
         merged = merged.drop(columns=["_matched"])
         # matched_hashes: accumulate this bootstrap's hash on covered rows
-        prev = merged["matched_hashes"] if "matched_hashes" in merged else             _pd.Series([None] * len(merged))
+        prev = merged["matched_hashes"] if "matched_hashes" in merged \
+            else [None] * len(merged)
         merged["matched_hashes"] = [
             ((list(p) if isinstance(p, (list, np.ndarray)) else [])
              + ([self.part_hash] if h else [])) or None
             for p, h in zip(prev, hit)
         ]
-        types = dict(self.types)
-        types["matched_hashes"] = pa.list_(pa.string())
-        return pandas_to_arrow(merged, types)
+        return pandas_to_arrow(merged[self.out_schema.names],
+                               {f.name: f.type for f in self.out_schema})
 
 
 def bootstrap_join(
@@ -410,32 +397,20 @@ def bootstrap_join(
     num_partitions: int = DEFAULT_NUM_PARTITIONS,
 ) -> ray.data.Dataset:
     """left ⟕ one bootstrap table on row_ids, coalescing shared columns and
-    recording ``matched_hashes`` lineage (reference Join.scala:517-609)."""
-    from .assembly import _TagPad
-
-    ls, rs = dataset_schema(left), dataset_schema(bootstrap)
-    union_fields: list[pa.Field] = []
-    seen: set[str] = set()
-    for sch in (ls, rs):
-        for f in sch:
-            if f.name not in seen:
-                seen.add(f.name)
-                union_fields.append(f)
-    types = {f.name: f.type for f in union_fields}
-    tl = left.map_batches(_TagPad(0, union_fields, num_partitions, row_ids),
-                          batch_format="pyarrow")
-    tr = bootstrap.map_batches(_TagPad(1, union_fields, num_partitions, row_ids),
-                               batch_format="pyarrow")
-    merge = _CoalescedMerge(row_ids, list(ls.names), list(rs.names), types,
-                            part_hash)
+    recording ``matched_hashes`` lineage (reference Join.scala:517-609).
+    A bootstrap row with a null row id never matches (the reference's
+    equi-join), so a left row with one stays uncovered."""
+    sides = [Side(left, dataset_schema(left)),
+             Side(bootstrap, dataset_schema(bootstrap))]
+    key_types = {k: sides[0].schema.field(k).type for k in row_ids}
+    ls, rs = (s.own(key_types) for s in sides)
     # the merge's columns: the left's, the bootstrap's own, the lineage
     out = [*ls, *(f for f in rs if f.name not in ls.names)]
     if "matched_hashes" not in ls.names:
         out.append(pa.field("matched_hashes", pa.list_(pa.string())))
-    return with_schema(
-        tl.union(tr).groupby("_part").map_groups(merge,
-                                                 batch_format="pandas"),
-        pa.schema(out))
+    out = pa.schema(out)
+    return copartition(sides, key_types, row_ids, num_partitions,
+                       _CoalescedMerge(row_ids, ls, rs, out, part_hash), out)
 
 
 def compute_join_bootstrapped(

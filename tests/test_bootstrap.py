@@ -44,6 +44,51 @@ def test_bootstrap_join_coalesce_and_lineage(tables):
         (isinstance(out.loc[8, "matched_hashes"], float))
 
 
+def test_null_row_id_bootstrap_row_matches_nothing(ray_session, tmp_path):
+    """A bootstrap row with a null row id never matches (the reference's
+    equi-join: NULL never equals NULL), so a left row with a null row id
+    stays uncovered: ``bootstrap_join`` leaves its feature and lineage
+    null, and ``compute_join_bootstrapped`` computes its feature."""
+    import pyarrow.parquet as pq
+
+    from chronon_ray.api import (BootstrapPart, EventSource, GroupByConf,
+                                 JoinConf, JoinPart, agg)
+    from chronon_ray.pipelines.joins import compute_join_bootstrapped
+
+    day = 86_400_000
+    left = pa.table({"rid": pa.array([1, None, 3], pa.int64()),
+                     "user_id": pa.array(["a", "a", "b"]),
+                     "ts": pa.array([2 * day] * 3, pa.int64())})
+    bs = pa.table({"rid": pa.array([1, None], pa.int64()),
+                   "g_value_sum": pa.array([10.0, 99.0])})
+    booted = bootstrap_join(
+        rd.from_arrow(left.append_column("g_value_sum",
+                                         pa.nulls(3, pa.float64()))),
+        rd.from_arrow(bs), row_ids=["rid"], part_hash="h",
+        num_partitions=2).take_all()
+    by_rid = {r["rid"]: r for r in booted}
+    assert len(booted) == 3
+    assert by_rid[None]["g_value_sum"] is None
+    assert by_rid[None]["matched_hashes"] is None
+    assert by_rid[1]["g_value_sum"] == 10.0
+    assert list(by_rid[1]["matched_hashes"]) == ["h"]
+
+    pq.write_table(left, str(tmp_path / "left.parquet"))
+    pq.write_table(pa.table({"user_id": pa.array(["a", "a", "b"]),
+                             "ts": pa.array([day, day + 1, day], pa.int64()),
+                             "value": pa.array([1.0, 2.0, 4.0])}),
+                   str(tmp_path / "ev.parquet"))
+    gb = GroupByConf(name="g", key_columns=("user_id",),
+                     sources=(EventSource(table=str(tmp_path / "ev.parquet")),),
+                     aggregations=(agg("value", "sum"),))
+    jc = JoinConf(name="nr", left=EventSource(table=str(tmp_path / "left.parquet")),
+                  parts=(JoinPart(group_by=gb),), row_ids=("rid",),
+                  bootstrap_parts=(BootstrapPart(table=rd.from_arrow(bs)),))
+    out = {r["rid"]: r["g_value_sum"]
+           for r in compute_join_bootstrapped(jc, num_partitions=2).take_all()}
+    assert out == {1: 10.0, None: 3.0, 3: 4.0}
+
+
 def test_covering_sets(tables):
     left, bs = tables
     booted = bootstrap_join(rd.from_arrow(left), rd.from_arrow(bs),

@@ -327,3 +327,37 @@ def test_range_join_malformed_interval(ray_session):
                      keys=["k"], ts_col="ts", left_cols=["k", "ts", "row"],
                      num_partitions=2).to_pandas()
     assert sorted(zip(out["row"], out["iv_id"])) == [(1, 2)]
+
+
+def test_range_join_keeps_types_and_rejects_shared_names(ray_session):
+    """Each output column keeps its side's type (int ts/start/end stay
+    int, a string interval column stays string), declared at plan time;
+    a name in both left_cols and right_cols raises before any execution
+    instead of one side's value silently replacing the other's."""
+    import pyarrow as pa
+    import pytest
+    import ray.data
+
+    from chronon_ray.pipelines.extras import range_join
+    from chronon_ray.util import known_schema
+
+    left = ray.data.from_arrow(pa.table({
+        "k": pa.array([1, 1], pa.int64()), "ts": pa.array([5, 15], pa.int64()),
+        "value": pa.array([1.0, 2.0])}))
+    iv = pa.table({"k": pa.array([1], pa.int32()),
+                   "start_ts": pa.array([0], pa.int64()),
+                   "end_ts": pa.array([20], pa.int64()),
+                   "label": pa.array(["x"])})
+    out = range_join(left, ray.data.from_arrow(iv), keys=["k"],
+                     num_partitions=2)
+    want = [("k", pa.int64()), ("ts", pa.int64()), ("value", pa.float64()),
+            ("label", pa.string()), ("start_ts", pa.int64()),
+            ("end_ts", pa.int64())]
+    assert [(f.name, f.type) for f in known_schema(out)] == want
+    rows = sorted(out.take_all(), key=lambda r: r["ts"])
+    assert [(r["ts"], r["value"], r["label"]) for r in rows] == \
+        [(5, 1.0, "x"), (15, 2.0, "x")]
+    for value in (pa.array([9.0]), pa.array(["y"])):
+        clash = ray.data.from_arrow(iv.append_column("value", value))
+        with pytest.raises(ValueError, match="value"):
+            range_join(left, clash, keys=["k"])

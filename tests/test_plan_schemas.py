@@ -82,6 +82,16 @@ INC_CONF = GroupByConf(
                   agg("source", "unique_count", [window(7, "d")])))
 
 
+SNAP_CONF = GroupByConf(
+    name="snap", sources=(), key_columns=("doc_id",),
+    aggregations=(agg("n_tok", "sum"), agg("source", "last")))
+
+
+# plain parts and two bucket columns: three granularities, one exchange
+BUCKET_CONF = dataclasses.replace(SNAP_CONF, aggregations=(
+    *SNAP_CONF.aggregations, agg("n_tok", "sum", buckets=("source", "ds"))))
+
+
 ENT_CONF = GroupByConf(
     name="ent", sources=(), key_columns=("doc_id",),
     aggregations=(agg("n_tok", "sum", [window(7, "d"), UNBOUNDED]),
@@ -432,6 +442,36 @@ def _build(name, t, empty):
                                 _scan(t, "queries", empty), INC_CONF,
                                 _batch_end(t), num_partitions=4,
                                 full_hops=True)
+    if name in ("aggregate_snapshot", "aggregate_snapshot_bucketed"):
+        from chronon_ray.pipelines.groupby import aggregate_snapshot
+
+        conf = SNAP_CONF if name == "aggregate_snapshot" else BUCKET_CONF
+        return aggregate_snapshot(_scan(t, "events", empty), conf,
+                                  num_partitions=4)
+    if name == "range_join":
+        import pyarrow.compute as pc
+
+        from chronon_ray.pipelines.extras import range_join
+        from chronon_ray.util import map_typed
+
+        # a two-day interval around every event of the query days
+        iv = map_typed(_events(t, empty), lambda b: pa.table({
+            "doc_id": b["doc_id"],
+            "start_ts": pc.subtract(b["ts"], DAY),
+            "end_ts": pc.add(b["ts"], DAY)}))
+        return range_join(_scan(t, "queries", empty), iv, keys=["doc_id"],
+                          num_partitions=4)
+    if name == "entity_snapshot_join":
+        from chronon_ray.pipelines.groupby import aggregate_snapshot
+        from chronon_ray.pipelines.joins import entity_snapshot_join
+
+        # daily snapshots of the days before the query days
+        snaps = aggregate_snapshot(
+            _scan(t, "events", empty, days=(-3, -2)),
+            dataclasses.replace(SNAP_CONF, key_columns=("doc_id", "ds")),
+            num_partitions=4)
+        return entity_snapshot_join(_scan(t, "queries", empty), snaps,
+                                    keys=["doc_id"], num_partitions=4)
     if name == "temporal_entities_join":
         from chronon_ray.pipelines.mutations import temporal_entities_join
         from chronon_ray.util import map_typed
@@ -456,7 +496,8 @@ def _pairs(schema):
     "scan_table", "distinct_rows", "temporal_join", "key_partitioned_join",
     "compute_join", "bootstrap_join", "groupby_upload", "roll_checkpoint",
     "serve_with_events", "make_tiles", "merge_tiles", "serve_with_tiles",
-    "temporal_entities_join"])
+    "temporal_entities_join", "aggregate_snapshot",
+    "aggregate_snapshot_bucketed", "range_join", "entity_snapshot_join"])
 def test_declared_schema_equals_executed(tables, name, empty):
     ds = _build(name, tables, empty)
     declared = known_schema(ds)
@@ -621,9 +662,32 @@ def test_pipeline_udfs_capture_no_dataset(tables, tmp_path, monkeypatch):
                          end, num_partitions=4)
     for name in ("temporal_join", "key_partitioned_join",
                  "serve_with_events", "merge_tiles", "serve_with_tiles",
-                 "temporal_entities_join"):
+                 "temporal_entities_join", "aggregate_snapshot",
+                 "aggregate_snapshot_bucketed", "range_join",
+                 "entity_snapshot_join"):
         _build(name, tables, False)
     assert found == []
+
+
+def test_bucketed_snapshot_groupby_plans_one_exchange(tables, monkeypatch):
+    """Plain parts and two bucket columns: one ``map_groups`` (one
+    co-partition of the three granularities' partials), and planning
+    executes nothing."""
+    from ray.data.grouped_data import GroupedData
+
+    names = []
+    orig = GroupedData.map_groups
+
+    def counted(self, fn, *args, **kwargs):
+        names.append(fn.__name__)
+        return orig(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(GroupedData, "map_groups", counted)
+    with count_executions() as cb:
+        out = _build("aggregate_snapshot_bucketed", tables, False)
+        assert cb.n == 0
+    assert len(names) == 1
+    assert out.count() > 0
 
 
 def test_capture_check_sees_a_captured_dataset(ray_session):
